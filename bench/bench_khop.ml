@@ -1,7 +1,6 @@
 (* End-to-end k-hop throughput with frontier batching on and off: the
    Figure-1 query at 1 and 8 partitions, reported as traversers/sec of
-   simulated time, plus the compiled-plan cache's amortization of
-   host-side compile latency (hits observably skip re-verification). *)
+   simulated time. *)
 
 open Pstm_engine
 open Pstm_query
@@ -63,72 +62,25 @@ let throughput graph =
     ~headers:[ "partitions"; "batching"; "latency (ms)"; "traversers/s"; "batches"; "coalesced"; "speedup" ]
     rows
 
-(* Plan cache: compile the k-hop family with 200 distinct start literals,
-   cold (full pipeline every time) vs through the cache (one verification,
-   199 binds). *)
-let plan_cache graph =
-  let ast start =
-    Dsl.(
-      v_lookup ~key:"id" (int start)
-      |> repeat_out "link" ~times:3
-      |> has "id" (ne (int start))
-      |> top_k "weight" 10
-      |> build)
-  in
-  let n = 200 in
-  let starts = Array.init n (fun i -> i * 17 mod Graph.n_vertices graph) in
-  let time f =
-    let t0 = Sys.time () in
-    f ();
-    (Sys.time () -. t0) *. 1000.0
-  in
-  let cold_ms =
-    time (fun () -> Array.iter (fun s -> ignore (Compile.compile ~name:"khop" graph (ast s))) starts)
-  in
-  let cache = Plan_cache.create ~graph in
-  let warm_ms =
-    time (fun () -> Array.iter (fun s -> ignore (Plan_cache.compile_ast ~name:"khop" cache (ast s))) starts)
-  in
-  let s = Plan_cache.stats cache in
-  print_table
-    ~title:(Printf.sprintf "Plan cache: %d compiles of one k-hop family (wall clock)" n)
-    ~headers:[ "path"; "total (ms)"; "hits"; "misses"; "verifier runs"; "speedup" ]
-    [
-      [ "cold compile"; ms cold_ms; "-"; "-"; string_of_int n; "1.00x" ];
-      [
-        "plan cache";
-        ms warm_ms;
-        string_of_int s.Plan_cache.hits;
-        string_of_int s.Plan_cache.misses;
-        string_of_int s.Plan_cache.verifications;
-        Printf.sprintf "%.2fx" (cold_ms /. warm_ms);
-      ];
-    ]
-
 let run () =
   let graph = Pstm_gen.Datasets.load Pstm_gen.Datasets.lj_like in
-  throughput graph;
-  plan_cache graph
+  throughput graph
 
 (* The @batch-smoke alias: a batched sanitizer-on run on tiny whose rows
-   must equal the unbatched run's, with the program compiled twice
-   through the plan cache (miss then hit) and the cache stats mirrored
-   into the report's metrics so the JSON export path is exercised. *)
+   must equal the unbatched run's. *)
 let smoke () =
   let graph = Pstm_gen.Datasets.load Pstm_gen.Datasets.tiny in
   let config = cluster ~nodes:2 ~workers:4 in
   let start = (khop_starts graph ~seed:11 ~n:1).(0) in
-  let ast =
-    Dsl.(
-      v_lookup ~key:"id" (int start)
-      |> repeat_out "link" ~times:2
-      |> has "id" (ne (int start))
-      |> top_k "weight" 10
-      |> build)
+  let program =
+    Compile.compile ~name:"2-hop" graph
+      Dsl.(
+        v_lookup ~key:"id" (int start)
+        |> repeat_out "link" ~times:2
+        |> has "id" (ne (int start))
+        |> top_k "weight" 10
+        |> build)
   in
-  let cache = Plan_cache.create ~graph in
-  ignore (Plan_cache.compile_ast ~name:"2-hop" cache ast);
-  let program = Plan_cache.compile_ast ~name:"2-hop" cache ast (* the hit path *) in
   let run_with batched =
     run_graphdance
       ~common:{ (common ~batched) with Engine.Common.check = true }
@@ -142,19 +94,14 @@ let smoke () =
     failwith "batch smoke: batched rows diverge from scalar rows";
   let m = report.Engine.metrics in
   if Metrics.batches m = 0 then failwith "batch smoke: no batches recorded";
-  let s = Plan_cache.stats cache in
-  Metrics.add_plan_stats m ~hits:s.Plan_cache.hits ~misses:s.Plan_cache.misses
-    ~verifications:s.Plan_cache.verifications;
-  print_table ~title:"Batch smoke: batched 2-hop on tiny (sanitizer on, plan-cache hit)"
-    ~headers:[ "latency (ms)"; "batches"; "travs/batch"; "coalesced"; "plan hits"; "verifier runs" ]
+  print_table ~title:"Batch smoke: batched 2-hop on tiny (sanitizer on)"
+    ~headers:[ "latency (ms)"; "batches"; "travs/batch"; "coalesced" ]
     [
       [
         ms (Engine.latency_ms report.Engine.queries.(0));
         string_of_int (Metrics.batches m);
         Printf.sprintf "%.1f" (fi (Metrics.batched_traversers m) /. fi (Metrics.batches m));
         string_of_int (Metrics.coalesced_msgs m);
-        string_of_int (Metrics.plan_hits m);
-        string_of_int (Metrics.plan_verifications m);
       ];
     ];
   record_report ~label:"batch-smoke" report

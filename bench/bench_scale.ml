@@ -1,27 +1,19 @@
 (* Fig 9 extension: scaling past the paper's 8 nodes.
 
-   The paper's evaluation stops at 8 nodes; ROADMAP item 3 asks what
-   serializes first at 64/128/256. The answer, measured here, is the
-   flat §IV-A termination design: every worker's progress flush lands on
-   the query coordinator, so the root tracker absorbs O(workers)
-   messages per flush epoch while everything else about the traversal
-   parallelizes. The headline table sweeps a concurrent k-hop batch
-   across node counts with flat and hierarchical tracking side by side,
-   reporting throughput next to the per-tier tracker load (root
-   receipts, delegate merges and upward forwards) — the load the
-   delegate tree is built to restructure.
+   The paper's evaluation stops at 8 nodes. The headline table sweeps a
+   concurrent k-hop batch across 8-256 nodes under the paper's flat
+   §IV-A termination design — every worker's progress flush lands on the
+   query coordinator — reporting throughput, its linearity against the
+   8-node run, and the tracker load (root receipts and progress
+   messages) next to it.
 
-   [smoke] runs a small hierarchical sweep over every registry engine
-   with the sanitizer on and asserts flat and hierarchical tracking
-   produce identical rows; it is wired into dune runtest via the
-   @scale-smoke alias. *)
+   [smoke] runs a small 32-worker k-hop over every registry engine with
+   the sanitizer on and asserts each engine's rows equal the [local]
+   oracle's; it is wired into dune runtest via the @scale-smoke alias. *)
 
 open Pstm_engine
 open Harness
 module J = Pstm_obs.Json
-
-let hier_options fanout =
-  { Async_engine.default_options with Async_engine.tracker_fanout = fanout }
 
 (* A batch of concurrent k-hop queries, the Fig 9 workload shape: enough
    resident queries that every worker contributes finished weight to
@@ -33,29 +25,19 @@ type cell = {
   c_makespan_ms : float;
   c_tps : float; (* traverser steps per simulated second *)
   c_root_rx : int; (* weight receipts at root trackers *)
-  c_merges : int;
-  c_forwards : int;
   c_progress_msgs : int;
 }
 
-let cell graph ~starts ~hops ~nodes ~workers ~fanout =
-  let report =
-    run_graphdance ~options:(hier_options fanout)
-      ~config:(cluster ~nodes ~workers)
-      graph (batch graph ~starts ~hops)
-  in
+let cell graph ~starts ~hops ~nodes ~workers =
+  let report = run_graphdance ~config:(cluster ~nodes ~workers) graph (batch graph ~starts ~hops) in
   let m = report.Engine.metrics in
   let sim_s = Sim_time.to_s report.Engine.makespan in
   {
     c_makespan_ms = Sim_time.to_ms report.Engine.makespan;
     c_tps = fi (Metrics.steps m) /. sim_s;
     c_root_rx = Metrics.tracker_updates m;
-    c_merges = Metrics.delegate_merges m;
-    c_forwards = Metrics.delegate_forwards m;
     c_progress_msgs = Metrics.messages m Metrics.Progress_msg;
   }
-
-let fanout = 32
 
 let run () =
   let graph = Pstm_gen.Datasets.load Pstm_gen.Datasets.lj_like in
@@ -64,48 +46,34 @@ let run () =
   let workers = 4 in
   let base = ref None in
   let rows =
-    List.concat_map
+    List.map
       (fun nodes ->
-        let flat = cell graph ~starts ~hops ~nodes ~workers ~fanout:None in
-        let hier = cell graph ~starts ~hops ~nodes ~workers ~fanout:(Some fanout) in
-        if !base = None then base := Some (flat, nodes);
+        let c = cell graph ~starts ~hops ~nodes ~workers in
+        if !base = None then base := Some (c, nodes);
         let base_cell, base_nodes = Option.get !base in
+        (* Scaling relative to the smallest configuration, normalized by
+           the node ratio: 1.0 = perfectly linear. *)
+        let lin = c.c_tps /. base_cell.c_tps /. (fi nodes /. fi base_nodes) in
         record_json
           (J.Obj
              [
                ("kind", J.Str "scale");
                ("nodes", J.Int nodes);
                ("workers_per_node", J.Int workers);
-               ("fanout", J.Int fanout);
-               ("flat_makespan_ms", J.Float flat.c_makespan_ms);
-               ("hier_makespan_ms", J.Float hier.c_makespan_ms);
-               ("flat_tps", J.Float flat.c_tps);
-               ("hier_tps", J.Float hier.c_tps);
-               ("flat_root_rx", J.Int flat.c_root_rx);
-               ("hier_root_rx", J.Int hier.c_root_rx);
-               ("hier_delegate_merges", J.Int hier.c_merges);
-               ("hier_delegate_forwards", J.Int hier.c_forwards);
-               ("flat_progress_msgs", J.Int flat.c_progress_msgs);
-               ("hier_progress_msgs", J.Int hier.c_progress_msgs);
+               ("makespan_ms", J.Float c.c_makespan_ms);
+               ("tps", J.Float c.c_tps);
+               ("linearity", J.Float lin);
+               ("root_rx", J.Int c.c_root_rx);
+               ("progress_msgs", J.Int c.c_progress_msgs);
              ]);
-        let speedup c =
-          (* Scaling relative to the smallest flat configuration,
-             normalized by the node ratio: 1.0 = perfectly linear. *)
-          c.c_tps /. base_cell.c_tps /. (fi nodes /. fi base_nodes)
-        in
-        let row mode (c : cell) =
-          [
-            string_of_int nodes;
-            mode;
-            ms c.c_makespan_ms;
-            Printf.sprintf "%.3e" c.c_tps;
-            Printf.sprintf "%.2f" (speedup c);
-            string_of_int c.c_root_rx;
-            string_of_int c.c_forwards;
-            string_of_int c.c_progress_msgs;
-          ]
-        in
-        [ row "flat" flat; row (Printf.sprintf "tree/%d" fanout) hier ])
+        [
+          string_of_int nodes;
+          ms c.c_makespan_ms;
+          Printf.sprintf "%.3e" c.c_tps;
+          Printf.sprintf "%.2f" lin;
+          string_of_int c.c_root_rx;
+          string_of_int c.c_progress_msgs;
+        ])
       [ 8; 64; 128; 256 ]
   in
   print_table
@@ -113,14 +81,10 @@ let run () =
       (Printf.sprintf
          "Fig 9 extension: %d concurrent %d-hop queries (lj-like, %d workers/node)"
          (Array.length starts) hops workers)
-    ~headers:
-      [
-        "nodes"; "tracking"; "makespan ms"; "traversers/s"; "lin"; "root rx"; "deleg fwd";
-        "progress msgs";
-      ]
+    ~headers:[ "nodes"; "makespan ms"; "traversers/s"; "lin"; "root rx"; "progress msgs" ]
     rows
 
-(* --- Smoke: hierarchical tracking over every registry engine ---------- *)
+(* --- Smoke: a 32-worker k-hop over every registry engine -------------- *)
 
 let smoke () =
   let graph = Pstm_gen.Datasets.load Pstm_gen.Datasets.tiny in
@@ -129,40 +93,22 @@ let smoke () =
   let start = (khop_starts graph ~seed:11 ~n:1).(0) in
   let subs () = [| Engine.submit (khop_program graph ~start ~hops:2) |] in
   let rows r = Fmt.str "%a" (Fmt.list (Fmt.array Value.pp)) (Engine.sorted_rows r) in
-  (* Every engine runs under a fanout-3 registry with the sanitizer on;
-     the non-async engines ignore the fanout, which is exactly the
-     contract being smoked. *)
-  let registry = Registry.make ~cluster_config:config ~tracker_fanout:3 () in
-  let results =
+  let reports =
     List.map
-      (fun (name, (module E : Engine.S)) ->
-        let report = E.run ~common:checked ~graph (subs ()) in
-        let m = report.Engine.metrics in
-        ( name,
-          rows report.Engine.queries.(0).Engine.rows,
-          Metrics.delegate_merges m + Metrics.delegate_forwards m ))
-      registry
+      (fun (name, (module E : Engine.S)) -> (name, E.run ~common:checked ~graph (subs ())))
+      (Registry.make ~cluster_config:config ())
   in
-  (* The async flavors must actually exercise the delegate tier; and the
-     hierarchical rows must match the flat rows exactly. *)
-  let flat =
-    run_graphdance ~common:checked ~config graph (subs ())
-  in
-  let flat_rows = rows flat.Engine.queries.(0).Engine.rows in
+  let rows_of name = rows (List.assoc name reports).Engine.queries.(0).Engine.rows in
+  let oracle = rows_of "local" in
   List.iter
-    (fun (name, r, delegated) ->
-      let is_async =
-        List.mem name [ "graphdance"; "banyan-like"; "gaia-like" ]
-      in
-      if is_async && delegated = 0 then
-        failwith (Printf.sprintf "scale smoke: %s never used the delegate tier" name);
-      if name = "graphdance" && r <> flat_rows then
-        failwith "scale smoke: hierarchical rows diverge from flat rows")
-    results;
-  print_table ~title:"Scale smoke: fanout-3 delegate tree, every engine (sanitizer on)"
-    ~headers:[ "engine"; "rows == flat"; "delegate ops" ]
+    (fun (name, _) ->
+      if rows_of name <> oracle then
+        failwith (Printf.sprintf "scale smoke: %s rows diverge from the local oracle" name))
+    reports;
+  print_table ~title:"Scale smoke: 2-hop on 8x4 workers, every engine (sanitizer on)"
+    ~headers:[ "engine"; "rows == oracle"; "progress msgs" ]
     (List.map
-       (fun (name, r, delegated) ->
-         [ name; (if r = flat_rows then "yes" else "n/a"); string_of_int delegated ])
-       results);
-  record_report ~label:"scale-smoke" flat
+       (fun (name, r) ->
+         [ name; "yes"; string_of_int (Metrics.messages r.Engine.metrics Metrics.Progress_msg) ])
+       reports);
+  record_report ~label:"scale-smoke" (List.assoc "graphdance" reports)

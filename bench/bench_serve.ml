@@ -4,9 +4,11 @@
    well past the engine's saturation point, with the admission
    controller on and off. The claim under test is graceful degradation:
    past saturation the guarded service sheds a growing fraction of
-   arrivals while the p99 of what it admits stays inside the SLO
-   headroom — where the unguarded baseline queues without bound and its
-   tail latency explodes with offered load.
+   arrivals while the p99 of what it admits stays bounded — where the
+   unguarded baseline queues without bound and its tail latency explodes
+   with offered load. The SLO is the admission controller's target, not
+   a met bound: admitted p99 sits above it (inside 2x), so the title
+   prints the worst measured admitted p99 beside the target.
 
    [smoke] runs a small multi-tenant mix (one impatient tenant, so
    scoped cancellation fires) over every registry engine with the
@@ -40,6 +42,7 @@ let run () =
   let engine = Registry.find_exn ~registry "graphdance" in
   let horizon = Sim_time.ms 10 in
   let rates = [ 2_000.0; 8_000.0; 32_000.0; 64_000.0; 128_000.0; 256_000.0 ] in
+  let worst_p99 = ref 0.0 in
   let rows =
     List.map
       (fun rate_qps ->
@@ -53,6 +56,7 @@ let run () =
                ("admission", Service.result_json guarded);
                ("baseline", Service.result_json baseline);
              ]);
+        worst_p99 := Float.max !worst_p99 (Service.p99_ms guarded);
         [
           Printf.sprintf "%.0f" rate_qps;
           string_of_int (Service.offered guarded);
@@ -66,8 +70,10 @@ let run () =
   in
   Harness.print_table
     ~title:
-      (Printf.sprintf "Open-loop service: admission control vs baseline (SLO p99 <= %.1f ms)"
-         (Sim_time.to_ms slo))
+      (Printf.sprintf
+         "Open-loop service: admission control vs baseline (admission target p99 %.1f ms; \
+          measured admitted p99 up to %.2f ms)"
+         (Sim_time.to_ms slo) !worst_p99)
     ~headers:
       [ "rate qps"; "offered"; "admitted"; "shed"; "p50 ms"; "p99 ms"; "p99 ms (no admission)" ]
     rows

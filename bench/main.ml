@@ -33,7 +33,7 @@ let experiments =
     ( "repartition-smoke",
       "Smoke: cold adaptive repartitioning with the sanitizer on",
       Bench_repartition.smoke );
-    ("khop", "k-hop throughput: frontier batching and the plan cache", Bench_khop.run);
+    ("khop", "k-hop throughput: frontier batching on and off", Bench_khop.run);
     ( "critpath",
       "EXPLAIN LATENCY: critical-path attribution at 1/8/32 nodes",
       Bench_critpath.run );
@@ -41,7 +41,7 @@ let experiments =
       "Smoke: causal tracing + exact attribution across every registry engine",
       Bench_critpath.smoke );
     ( "batch-smoke",
-      "Smoke: batched execution + plan-cache hit with the sanitizer on",
+      "Smoke: batched execution with the sanitizer on",
       Bench_khop.smoke );
     ( "mc-smoke",
       "Smoke: schedule exploration + protocol mutation catching",
@@ -50,10 +50,10 @@ let experiments =
       "Service layer: open-loop load, admission control vs baseline",
       Bench_serve.run );
     ( "scale",
-      "Fig 9 extension: flat vs hierarchical tracking at 8-256 nodes",
+      "Fig 9 extension: flat progress tracking at 8-256 nodes",
       Bench_scale.run );
     ( "scale-smoke",
-      "Smoke: hierarchical progress tracking over every registry engine",
+      "Smoke: a 32-worker k-hop over every registry engine vs the oracle",
       Bench_scale.smoke );
     ( "serve-smoke",
       "Smoke: the query service over every registry engine, sanitizer on",

@@ -46,21 +46,6 @@ type options = {
   initial_assignment : int array option;
       (** warm-start vertex→partition map for [Partition.Adaptive] (e.g. a
           refinement computed offline from a profiled run) *)
-  tracker_fanout : int option;
-      (** hierarchical progress tracking: workers form a fanout-ary
-          delegate tree rooted at each query's coordinator (so the root
-          tier stays sharded across workers by qid), and coalesced
-          finished weights climb the tree one merged message per hop.
-          [None] (the default) keeps the paper's flat design, in which
-          the coordinator absorbs O(workers) progress messages per flush
-          epoch. *)
-  delegate_hold : Sim_time.t;
-      (** hierarchical tracking only: how long a delegate accumulates
-          subtree weight before forwarding one merged message up the
-          tree. Larger holds merge more flush epochs per message (less
-          progress traffic) but delay termination detection by up to
-          tree-depth x hold per phase. Ignored when [tracker_fanout] is
-          [None]. *)
 }
 
 val default_options : options

@@ -58,13 +58,6 @@ type t = {
   mutable batched_traversers : int; (* traversers carried by those batches *)
   mutable coalesced_msgs : int; (* remote traverser-batch messages *)
   mutable batch_sizes : Histogram.t; (* traversers-per-batch distribution *)
-  (* Compiled-plan cache (mirrored from Plan_cache by the harness): *)
-  mutable plan_hits : int;
-  mutable plan_misses : int;
-  mutable plan_verifications : int; (* full verifier runs (cold compiles) *)
-  (* Hierarchical progress tracking (all zero when fanout is unset): *)
-  mutable delegate_merges : int; (* subtree weights absorbed at interior delegates *)
-  mutable delegate_forwards : int; (* merged progress messages shipped up the tree *)
   (* Observability self-diagnostics (mirrored from the recorder ring): *)
   mutable trace_dropped : int; (* trace events overwritten in the bounded ring *)
 }
@@ -99,11 +92,6 @@ let create () =
     batched_traversers = 0;
     coalesced_msgs = 0;
     batch_sizes = Histogram.create ~base:1.0 ();
-    plan_hits = 0;
-    plan_misses = 0;
-    plan_verifications = 0;
-    delegate_merges = 0;
-    delegate_forwards = 0;
     trace_dropped = 0;
   }
 
@@ -136,11 +124,6 @@ let reset t =
   t.batched_traversers <- 0;
   t.coalesced_msgs <- 0;
   t.batch_sizes <- Histogram.create ~base:1.0 ();
-  t.plan_hits <- 0;
-  t.plan_misses <- 0;
-  t.plan_verifications <- 0;
-  t.delegate_merges <- 0;
-  t.delegate_forwards <- 0;
   t.trace_dropped <- 0
 
 let count_message t kind bytes =
@@ -180,18 +163,8 @@ let count_batch t ~traversers =
   Histogram.add t.batch_sizes (float_of_int traversers)
 
 let count_coalesced_msg t = t.coalesced_msgs <- t.coalesced_msgs + 1
-let count_plan_hit t = t.plan_hits <- t.plan_hits + 1
-let count_plan_miss t = t.plan_misses <- t.plan_misses + 1
-let count_plan_verification t = t.plan_verifications <- t.plan_verifications + 1
-let count_delegate_merge t = t.delegate_merges <- t.delegate_merges + 1
-let count_delegate_forward t = t.delegate_forwards <- t.delegate_forwards + 1
 
 let set_trace_dropped t n = t.trace_dropped <- n
-
-let add_plan_stats t ~hits ~misses ~verifications =
-  t.plan_hits <- t.plan_hits + hits;
-  t.plan_misses <- t.plan_misses + misses;
-  t.plan_verifications <- t.plan_verifications + verifications
 
 let messages t kind = t.messages.(kind_index kind)
 let message_bytes t kind = t.bytes.(kind_index kind)
@@ -223,18 +196,11 @@ let batches t = t.batches
 let batched_traversers t = t.batched_traversers
 let coalesced_msgs t = t.coalesced_msgs
 let batch_sizes t = t.batch_sizes
-let plan_hits t = t.plan_hits
-let plan_misses t = t.plan_misses
-let plan_verifications t = t.plan_verifications
-let delegate_merges t = t.delegate_merges
-let delegate_forwards t = t.delegate_forwards
 let trace_dropped t = t.trace_dropped
 
 let migration_seen t = t.migrations + t.migrated_entries + t.forwarded + t.stashed > 0
 
 let batching_seen t = t.batches + t.coalesced_msgs > 0
-let hierarchy_seen t = t.delegate_merges + t.delegate_forwards > 0
-let plan_cache_seen t = t.plan_hits + t.plan_misses > 0
 
 let faults_seen t =
   t.fault_drops + t.fault_dups + t.fault_delays + t.retransmits + t.dup_dropped + t.acks
@@ -268,14 +234,6 @@ let pp ppf t =
       Fmt.pf ppf " batch_p50/p95/p99=%.0f/%.0f/%.0f" p50 p95 p99
     end
   end;
-  if plan_cache_seen t then
-    Fmt.pf ppf " plan_hits=%d plan_misses=%d verified=%d" t.plan_hits t.plan_misses
-      t.plan_verifications;
-  (* Delegate-tier counters only appear under hierarchical tracking, so
-     flat-tracking output is unchanged. *)
-  if hierarchy_seen t then
-    Fmt.pf ppf " delegate_merges=%d delegate_fwds=%d root_receipts=%d" t.delegate_merges
-      t.delegate_forwards t.tracker_updates;
   (* A truncated trace ring must be visible wherever metrics are read, so
      a partial trace is never mistaken for a complete one. *)
   if t.trace_dropped > 0 then Fmt.pf ppf " trace_dropped=%d" t.trace_dropped

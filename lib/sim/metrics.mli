@@ -38,16 +38,6 @@ val count_forwarded : t -> unit
 val count_stashed : t -> unit
 val count_batch : t -> traversers:int -> unit
 val count_coalesced_msg : t -> unit
-val count_plan_hit : t -> unit
-val count_plan_miss : t -> unit
-val count_plan_verification : t -> unit
-val count_delegate_merge : t -> unit
-val count_delegate_forward : t -> unit
-
-(** Fold plan-cache statistics in bulk; used to mirror
-    [Pstm_query.Plan_cache.stats] (which cannot depend on this library)
-    into the run report. *)
-val add_plan_stats : t -> hits:int -> misses:int -> verifications:int -> unit
 
 (** Mirror the trace ring's overwrite count into the run metrics (set, not
     added: the ring keeps the authoritative count). *)
@@ -93,20 +83,6 @@ val coalesced_msgs : t -> int
 (** Traversers-per-batch distribution. *)
 val batch_sizes : t -> Histogram.t
 
-(** Compiled-plan-cache counters; all zero when no cache is used. *)
-val plan_hits : t -> int
-
-val plan_misses : t -> int
-val plan_verifications : t -> int
-
-(** Hierarchical-tracking tier counters; all zero when fanout is unset.
-    [delegate_merges] counts subtree weights absorbed at interior
-    delegates, [delegate_forwards] the merged messages they ship upward;
-    root-tier receipts are {!tracker_updates}. *)
-val delegate_merges : t -> int
-
-val delegate_forwards : t -> int
-
 (** Trace events overwritten in the bounded recorder ring; zero when the
     trace is complete (or tracing is off). *)
 val trace_dropped : t -> int
@@ -116,12 +92,6 @@ val migration_seen : t -> bool
 
 (** Whether any batching counter is non-zero. *)
 val batching_seen : t -> bool
-
-(** Whether any delegate-tier counter is non-zero. *)
-val hierarchy_seen : t -> bool
-
-(** Whether any plan-cache counter is non-zero. *)
-val plan_cache_seen : t -> bool
 
 (** Whether any fault-plane counter is non-zero. *)
 val faults_seen : t -> bool

@@ -1,4 +1,4 @@
-(* Frontier-batched execution and the compiled-plan cache:
+(* Frontier-batched execution:
 
    - the batched async engine matches the reference oracle's rows on
      random graphs and queries, with the runtime sanitizer on (which
@@ -6,9 +6,7 @@
    - batched runs survive the whole fault matrix and still agree with
      the oracle;
    - batch metrics are populated when batching is on and exactly zero
-     when it is off (the off path is the untouched scalar path);
-   - a plan-cache hit skips re-verification and binds a program that is
-     structurally identical to a cold compile of the concrete query. *)
+     when it is off (the off path is the untouched scalar path). *)
 
 open Pstm_engine
 open Pstm_query
@@ -231,73 +229,6 @@ let test_batching_off_is_scalar_path () =
      so existing callers are untouched. *)
   Alcotest.(check bool) "default is unbatched" false Engine.Common.default.Engine.Common.batched
 
-(* --- Plan cache --- *)
-
-let test_plan_cache_hit_identical () =
-  let graph = Pstm_gen.Datasets.load Pstm_gen.Datasets.tiny in
-  let cache = Plan_cache.create ~graph in
-  let text_a = "g.V().has('id', 3).out('link').has('weight', gt(10)).count()" in
-  let text_b = "g.V().has('id', 7).out('link').has('weight', gt(55)).count()" in
-  let direct text = Compile.compile ~name:"query" graph (Parser.parse_exn text) in
-  let cold = Plan_cache.compile cache text_a in
-  Alcotest.(check bool) "cold compile = direct compile" true (cold = direct text_a);
-  let warm = Plan_cache.compile cache text_b in
-  Alcotest.(check bool) "hit-path bind = direct compile" true (warm = direct text_b);
-  let s = Plan_cache.stats cache in
-  Alcotest.(check int) "one miss" 1 s.Plan_cache.misses;
-  Alcotest.(check int) "one hit" 1 s.Plan_cache.hits;
-  Alcotest.(check int) "verified once, hit skipped the verifier" 1 s.Plan_cache.verifications;
-  Alcotest.(check int) "one family" 1 (Plan_cache.size cache);
-  (* The bound program answers like the direct one end to end. *)
-  Alcotest.(check string) "rows"
-    (show_rows (Local_engine.run graph (direct text_b)))
-    (show_rows (Local_engine.run graph warm))
-
-let test_plan_cache_families_kept_apart () =
-  let graph = Pstm_gen.Datasets.load Pstm_gen.Datasets.tiny in
-  let cache = Plan_cache.create ~graph in
-  (* Structural knobs and parameter types separate families; literal
-     values do not. *)
-  List.iter
-    (fun text -> ignore (Plan_cache.compile cache text))
-    [
-      "g.V().has('weight', gt(10)).count()";
-      "g.V().has('weight', gt(99)).count()" (* same family *);
-      "g.V().has('weight', gt(1.5)).count()" (* float parameter: new family *);
-      "g.V().has('weight', lt(10)).count()" (* different predicate shape *);
-      "g.V().hasLabel('vertex').has('weight', gt(10)).count()" (* extra step *);
-      "g.V().has('weight', within(1, 2)).count()";
-      "g.V().has('weight', within(1, 2, 3)).count()" (* arity is structural *);
-    ];
-  let s = Plan_cache.stats cache in
-  Alcotest.(check int) "six families" 6 (Plan_cache.size cache);
-  Alcotest.(check int) "one hit" 1 s.Plan_cache.hits;
-  Alcotest.(check int) "six cold verifications" 6 s.Plan_cache.verifications
-
-let plan_cache_equals_cold_compile =
-  QCheck.Test.make ~name:"plan cache binds = cold compile on random queries" ~count:120
-    (QCheck.pair arb_graph arb_query)
-    (fun ((n, edges), ast) ->
-      let graph = graph_of ~n ~edges in
-      match Compile.compile ~name:"query" graph ast with
-      | exception Compile.Error _ -> QCheck.assume_fail ()
-      | direct ->
-        let cache = Plan_cache.create ~graph in
-        let cold = Plan_cache.compile_ast cache ast in
-        let warm = Plan_cache.compile_ast cache ast in
-        let s = Plan_cache.stats cache in
-        cold = direct && warm = direct && s.Plan_cache.hits = 1 && s.Plan_cache.verifications = 1)
-
-let test_plan_stats_mirrored_into_metrics () =
-  let m = Metrics.create () in
-  Metrics.add_plan_stats m ~hits:3 ~misses:2 ~verifications:2;
-  Alcotest.(check int) "hits" 3 (Metrics.plan_hits m);
-  Alcotest.(check int) "misses" 2 (Metrics.plan_misses m);
-  Alcotest.(check int) "verifications" 2 (Metrics.plan_verifications m);
-  Alcotest.(check bool) "pp gates on presence" true (Metrics.plan_cache_seen m);
-  Metrics.reset m;
-  Alcotest.(check int) "reset clears" 0 (Metrics.plan_hits m)
-
 let () =
   Alcotest.run "batch"
     [
@@ -309,12 +240,5 @@ let () =
           Alcotest.test_case "fault matrix" `Quick test_batched_survives_faults;
           Alcotest.test_case "batch metrics populated" `Quick test_batch_metrics_populated;
           Alcotest.test_case "batching off = scalar path" `Quick test_batching_off_is_scalar_path;
-        ] );
-      ( "plan-cache",
-        [
-          Alcotest.test_case "hit is identical to cold" `Quick test_plan_cache_hit_identical;
-          Alcotest.test_case "families kept apart" `Quick test_plan_cache_families_kept_apart;
-          qcheck plan_cache_equals_cold_compile;
-          Alcotest.test_case "stats mirror into metrics" `Quick test_plan_stats_mirrored_into_metrics;
         ] );
     ]

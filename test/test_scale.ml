@@ -1,89 +1,66 @@
-(* Hierarchical progress tracking at scale (64 simulated nodes):
+(* Flat progress tracking at scale (64 simulated nodes, 128 workers):
 
-   - flat and hierarchical tracking return identical rows (tracking is
-     pure control plane — it must never change results);
-   - the delegate tree actually absorbs load: root-tracker receipts drop
-     below flat's, the delegate counters are live under a fanout and
-     exactly zero without one;
-   - both runs hold the sanitizer's invariants (weight conservation,
-     coalescer/delegate emptiness at finish) at a worker count far past
-     the paper's testbed. *)
+   - concurrent k-hop queries return exactly the [local] oracle's rows
+     with the runtime sanitizer on (weight conservation per execution,
+     tracker overshoot, coalescer emptiness at finish);
+   - Theorem 1's sum closes at that worker count both with weight
+     coalescing and with every finished weight shipped on its own. *)
 
 open Pstm_engine
 open Pstm_query
 
-let sixty_four_nodes =
-  { Cluster.default_config with Cluster.n_nodes = 64; workers_per_node = 2 }
-
+let sixty_four_nodes = { Cluster.default_config with Cluster.n_nodes = 64; workers_per_node = 2 }
 let checked = { Engine.Common.default with Engine.Common.check = true }
 
 let khop graph ~start hops =
   Compile.compile ~name:(Printf.sprintf "khop%d" hops) graph
-    Dsl.(
-      v_lookup ~key:"id" (int start)
-      |> repeat ~dir:Graph.Out ~times:hops ()
-      |> count |> build)
+    Dsl.(v_lookup ~key:"id" (int start) |> repeat ~dir:Graph.Out ~times:hops () |> count |> build)
 
-let run_tracked ~tracker_fanout graph subs =
-  Async_engine.run
-    ~options:{ Async_engine.default_options with Async_engine.tracker_fanout }
-    ~common:checked ~cluster_config:sixty_four_nodes
+let run_flat ?(options = Async_engine.default_options) graph subs =
+  Async_engine.run ~options ~common:checked ~cluster_config:sixty_four_nodes
     ~channel_config:Channel.default_config ~graph subs
 
-let rows_sig report =
-  Array.to_list
-    (Array.map
-       (fun q -> Fmt.str "%a" (Fmt.list (Fmt.array Value.pp)) (Engine.sorted_rows q.Engine.rows))
-       report.Engine.queries)
+let show_rows rows = Fmt.str "%a" (Fmt.list (Fmt.array Value.pp)) (Engine.sorted_rows rows)
 
-let test_flat_vs_hier_64_nodes () =
+let test_flat_matches_oracle () =
   let graph = Pstm_gen.Datasets.load Pstm_gen.Datasets.tiny in
-  let subs () =
-    Array.map
-      (fun start -> Engine.submit (khop graph ~start 3))
-      [| 1; 17; 63 |]
-  in
-  let flat = run_tracked ~tracker_fanout:None graph (subs ()) in
-  let hier = run_tracked ~tracker_fanout:(Some 4) graph (subs ()) in
-  Alcotest.(check bool) "flat run completed" true (Engine.all_completed flat);
-  Alcotest.(check bool) "hier run completed" true (Engine.all_completed hier);
-  Alcotest.(check (list string)) "identical rows" (rows_sig flat) (rows_sig hier);
-  let fm = flat.Engine.metrics and hm = hier.Engine.metrics in
-  (* Flat tracking never touches the delegate tier. *)
-  Alcotest.(check int) "flat: no delegate merges" 0 (Metrics.delegate_merges fm);
-  Alcotest.(check int) "flat: no delegate forwards" 0 (Metrics.delegate_forwards fm);
-  (* The tree must carry real load and shrink the root's fan-in. *)
-  if Metrics.delegate_merges hm = 0 then Alcotest.fail "hier: delegate tier never merged";
-  if Metrics.delegate_forwards hm = 0 then
-    Alcotest.fail "hier: no subtree weight ever climbed the tree";
-  let flat_rx = Metrics.tracker_updates fm and hier_rx = Metrics.tracker_updates hm in
-  if hier_rx >= flat_rx then
-    Alcotest.failf "root receipts did not drop: hier %d >= flat %d" hier_rx flat_rx
+  let programs = Array.map (fun start -> khop graph ~start 3) [| 1; 17; 63 |] in
+  let report = run_flat graph (Array.map Engine.submit programs) in
+  Alcotest.(check bool) "all completed" true (Engine.all_completed report);
+  Array.iteri
+    (fun i program ->
+      Alcotest.(check string)
+        (Printf.sprintf "query %d rows = oracle" i)
+        (show_rows (Local_engine.run graph program))
+        (show_rows report.Engine.queries.(i).Engine.rows))
+    programs;
+  if Metrics.tracker_updates report.Engine.metrics = 0 then
+    Alcotest.fail "no finished weight ever reached a tracker"
 
-(* Weight conservation is the invariant the delegate tier must not bend:
-   every phase still completes (the tracker saw the weight sum close)
-   even though weights dwell in hold windows along the way. A double
-   count would trip the sanitizer's post-completion receive check; a
-   lost weight would hang the run (caught here by completion itself). *)
-let test_conservation_through_tree () =
+(* A lost weight hangs the phase (caught by completion itself); a double
+   count trips the sanitizer's post-completion receive check. *)
+let test_conservation_at_64_nodes () =
   let graph = Pstm_gen.Datasets.load Pstm_gen.Datasets.tiny in
+  let program = khop graph ~start:1 4 in
+  let expected = show_rows (Local_engine.run graph program) in
   List.iter
-    (fun fanout ->
-      let report =
-        run_tracked ~tracker_fanout:(Some fanout) graph
-          [| Engine.submit (khop graph ~start:1 4) |]
-      in
+    (fun weight_coalescing ->
+      let options = { Async_engine.default_options with Async_engine.weight_coalescing } in
+      let report = run_flat ~options graph [| Engine.submit program |] in
       if not (Engine.all_completed report) then
-        Alcotest.failf "fanout %d: query did not complete" fanout)
-    [ 1; 2; 4; 16; 128 ]
+        Alcotest.failf "coalescing=%b: query did not complete" weight_coalescing;
+      Alcotest.(check string)
+        (Printf.sprintf "coalescing=%b rows = oracle" weight_coalescing)
+        expected
+        (show_rows report.Engine.queries.(0).Engine.rows))
+    [ true; false ]
 
 let () =
   Alcotest.run "scale"
     [
-      ( "hierarchical-tracking",
+      ( "flat-tracking",
         [
-          Alcotest.test_case "flat vs tree at 64 nodes" `Quick test_flat_vs_hier_64_nodes;
-          Alcotest.test_case "conservation across fanouts" `Quick
-            test_conservation_through_tree;
+          Alcotest.test_case "matches the oracle at scale" `Quick test_flat_matches_oracle;
+          Alcotest.test_case "conserves weight at scale" `Quick test_conservation_at_64_nodes;
         ] );
     ]

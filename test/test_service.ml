@@ -167,46 +167,40 @@ let test_cancel_mid_flight_clean () =
   | _ -> Alcotest.fail "terminal callback did not fire exactly once with Cancelled")
 
 (* Regression: a cancelled query used to strand its pending causal
-   coalescer bindings in the per-worker [cz_coalesce] table (and, under
-   hierarchical tracking, [cz_delegate]). The sanitizer now asserts both
-   tables empty at finish, so this run — causal tracing on, cancellation
-   landing mid-flight — fails loudly if the cleanup regresses. Runs flat
-   and with a fanout-2 delegate tree. *)
+   coalescer bindings in the per-worker [cz_coalesce] table. The
+   sanitizer now asserts the table empty at finish, so this run — causal
+   tracing on, cancellation landing mid-flight — fails loudly if the
+   cleanup regresses. *)
 let test_cancel_strands_no_causal_state () =
   let graph = fixture_graph () in
   let program = khop graph 3 in
-  List.iter
-    (fun (mode, tracker_fanout) ->
-      let options = { Async_engine.default_options with Async_engine.tracker_fanout } in
-      let full =
-        Async_engine.run ~options ~common:checked ~cluster_config:small_cluster
-          ~channel_config:Channel.default_config ~graph
-          [| Engine.submit program |]
-      in
-      let lat =
-        match Engine.latency full.Engine.queries.(0) with
-        | Some l -> l
-        | None -> Alcotest.failf "%s: fixture query did not complete" mode
-      in
-      let halfway = Sim_time.of_float_ns (float_of_int (Sim_time.to_ns lat) /. 2.0) in
-      let obs = Pstm_obs.Recorder.create ~causal:true () in
-      let h =
-        Async_engine.create ~options
-          ~common:(Engine.Common.with_obs obs checked)
-          ~cluster_config:small_cluster ~channel_config:Channel.default_config ~graph ()
-      in
-      let qid = h.Engine.sh_submit (Engine.submit program) in
-      h.Engine.sh_cancel ~qid ~at:halfway;
-      h.Engine.sh_drive ~until:None;
-      match h.Engine.sh_finish () with
-      | report -> (
-        match report.Engine.queries.(qid).Engine.outcome with
-        | Engine.Cancelled -> ()
-        | o ->
-          Alcotest.failf "%s: expected Cancelled, got %s" mode (Engine.outcome_name o))
-      | exception Engine.Check_violation why ->
-        Alcotest.failf "%s: stranded state after cancellation: %s" mode why)
-    [ ("flat", None); ("hierarchical", Some 2) ]
+  let full =
+    Async_engine.run ~common:checked ~cluster_config:small_cluster
+      ~channel_config:Channel.default_config ~graph
+      [| Engine.submit program |]
+  in
+  let lat =
+    match Engine.latency full.Engine.queries.(0) with
+    | Some l -> l
+    | None -> Alcotest.fail "fixture query did not complete"
+  in
+  let halfway = Sim_time.of_float_ns (float_of_int (Sim_time.to_ns lat) /. 2.0) in
+  let obs = Pstm_obs.Recorder.create ~causal:true () in
+  let h =
+    Async_engine.create
+      ~common:(Engine.Common.with_obs obs checked)
+      ~cluster_config:small_cluster ~channel_config:Channel.default_config ~graph ()
+  in
+  let qid = h.Engine.sh_submit (Engine.submit program) in
+  h.Engine.sh_cancel ~qid ~at:halfway;
+  h.Engine.sh_drive ~until:None;
+  match h.Engine.sh_finish () with
+  | report -> (
+    match report.Engine.queries.(qid).Engine.outcome with
+    | Engine.Cancelled -> ()
+    | o -> Alcotest.failf "expected Cancelled, got %s" (Engine.outcome_name o))
+  | exception Engine.Check_violation why ->
+    Alcotest.failf "stranded state after cancellation: %s" why
 
 let test_per_query_deadline () =
   let graph = fixture_graph () in
@@ -351,7 +345,7 @@ let () =
       ( "cancellation",
         [
           Alcotest.test_case "mid-flight, sanitizer clean" `Quick test_cancel_mid_flight_clean;
-          Alcotest.test_case "no stranded causal state (flat + hierarchical)" `Quick
+          Alcotest.test_case "no stranded causal state" `Quick
             test_cancel_strands_no_causal_state;
           Alcotest.test_case "per-query deadline" `Quick test_per_query_deadline;
           Alcotest.test_case "every engine, via patience" `Quick test_cancellation_all_engines;
