@@ -62,9 +62,9 @@ let structure_tests () =
 
 (* Fused frontier chain vs the scalar interpreter: the same
    Expand -> Filter chain over the same frontier, one [Batch_exec.run]
-   vs one [Exec.exec] dispatch per traverser per step. This is the
-   amortization the async engine's batched mode buys per (partition,
-   step) group; the acceptance bar for the PR is a >= 2x speedup. *)
+   vs one [Exec.exec] dispatch per traverser per step. No engine runs
+   [Batch_exec]; this measures the kernel alone, as perfbench's
+   [batch_exec] layer kernel does. *)
 let fused_vs_scalar () =
   let open Pstm_engine in
   let graph = Pstm_gen.Datasets.load Pstm_gen.Datasets.lj_like in
@@ -151,7 +151,7 @@ let run () =
   (* The fused-vs-scalar comparison runs first: Bechamel's allocation
      churn leaves the heap in a state that distorts Sys.time measurements
      taken after it in the same process. *)
-  Printf.printf "\n== Frontier batching: fused chain vs scalar interpreter ==\n";
+  Printf.printf "\n== Batch_exec kernel: fused chain vs scalar interpreter ==\n";
   fused_vs_scalar ();
   Printf.printf "\n== Microbenchmarks (wall clock, Bechamel OLS ns/op) ==\n";
   let tests = weight_tests () @ memo_tests () @ structure_tests () in

@@ -149,12 +149,7 @@ let smoke () =
     {
       Async_engine.default_options with
       Async_engine.partition = Partition.Adaptive;
-      adaptive =
-        {
-          Async_engine.default_adaptive with
-          Async_engine.refine_interval = Sim_time.us 5;
-          min_traffic = 16;
-        };
+      adaptive = { Async_engine.refine_interval = Sim_time.us 5; min_traffic = 16 };
     }
   in
   let common = { Engine.Common.default with Engine.Common.check = true } in

@@ -5,7 +5,7 @@
    order; with an argument, runs one experiment:
 
      table1 table2 fig7 fig8 fig8l fig8sn fig9 fig10 fig11 fig12 fig13
-     plan partition repartition khop critpath micro
+     plan partition repartition critpath micro
 
    All latencies are simulated milliseconds on the 8-node cluster model;
    see DESIGN.md for the hardware substitution rationale and
@@ -33,16 +33,12 @@ let experiments =
     ( "repartition-smoke",
       "Smoke: cold adaptive repartitioning with the sanitizer on",
       Bench_repartition.smoke );
-    ("khop", "k-hop throughput: frontier batching on and off", Bench_khop.run);
     ( "critpath",
       "EXPLAIN LATENCY: critical-path attribution at 1/8/32 nodes",
       Bench_critpath.run );
     ( "critpath-smoke",
       "Smoke: causal tracing + exact attribution across every registry engine",
       Bench_critpath.smoke );
-    ( "batch-smoke",
-      "Smoke: batched execution with the sanitizer on",
-      Bench_khop.smoke );
     ( "mc-smoke",
       "Smoke: schedule exploration + protocol mutation catching",
       Bench_mc.smoke );
@@ -105,9 +101,8 @@ let () =
     List.iter
       (fun (n, _, _) ->
         if
-          n <> "smoke" && n <> "faults" && n <> "repartition-smoke" && n <> "batch-smoke"
-          && n <> "mc-smoke" && n <> "critpath-smoke" && n <> "serve-smoke"
-          && n <> "scale-smoke"
+          n <> "smoke" && n <> "faults" && n <> "repartition-smoke" && n <> "mc-smoke"
+          && n <> "critpath-smoke" && n <> "serve-smoke" && n <> "scale-smoke"
         then
           run_one n)
       experiments

@@ -64,14 +64,6 @@ let workers_arg =
   let doc = "Worker threads per node (one graph partition each)." in
   Arg.(value & opt int 16 & info [ "workers" ] ~doc)
 
-let batched_arg =
-  let doc =
-    "Enable frontier-batched execution: fusable Expand/Filter chains run as CSR-range \
-     scans over each (partition, step) batch, and remote children ship as one coalesced \
-     message per destination. Only the async engine batches; the oracle ignores the flag."
-  in
-  Arg.(value & flag & info [ "batched" ] ~doc)
-
 (* --- Commands --- *)
 
 let datasets_cmd =
@@ -116,14 +108,13 @@ let resolve_engine ~config name =
       (Fmt.str "unknown engine %S (available: %s, or async)" name
          (String.concat ", " (Registry.names ~registry ())))
 
-let run_query dataset text engine nodes workers batched =
+let run_query dataset text engine nodes workers =
   let ( let* ) = Result.bind in
   let* graph = load_graph dataset in
   let* program = compile_query graph text in
   let config = { Cluster.default_config with Cluster.n_nodes = nodes; workers_per_node = workers } in
   let* (module E : Engine.S) = resolve_engine ~config engine in
-  let common = Engine.Common.with_batched batched Engine.Common.default in
-  let report = E.run ~common ~graph [| Engine.submit program |] in
+  let report = E.run ~graph [| Engine.submit program |] in
   let q = report.Engine.queries.(0) in
   let rows = q.Engine.rows in
   (* The oracle has no clock, so its synthesized report carries no
@@ -135,10 +126,6 @@ let run_query dataset text engine nodes workers batched =
       | None -> ()
       | Some l -> Fmt.pf ppf "; simulated latency %a" Sim_time.pp l)
     latency;
-  (if batched then
-     let m = report.Engine.metrics in
-     Fmt.pr "-- batching: %d batch(es), %d traverser(s) batched, %d coalesced message(s)@."
-       (Metrics.batches m) (Metrics.batched_traversers m) (Metrics.coalesced_msgs m));
   Ok ()
 
 let to_exit = function
@@ -148,13 +135,13 @@ let to_exit = function
     1
 
 let query_cmd =
-  let run dataset text engine nodes workers batched =
-    to_exit (run_query dataset text engine nodes workers batched)
+  let run dataset text engine nodes workers =
+    to_exit (run_query dataset text engine nodes workers)
   in
   Cmd.v
     (Cmd.info "query" ~doc:"Run a Gremlin query on a simulated cluster")
     Term.(
-      const run $ dataset_arg $ query_arg $ engine_arg $ nodes_arg $ workers_arg $ batched_arg)
+      const run $ dataset_arg $ query_arg $ engine_arg $ nodes_arg $ workers_arg)
 
 let explain_cmd =
   let run dataset text =
@@ -286,7 +273,7 @@ let why_cmd =
     let doc = "Inject a straggler node as NODE:FACTOR (e.g. 0:8.0); repeatable." in
     Arg.(value & opt_all string [] & info [ "slow" ] ~docv:"NODE:FACTOR" ~doc)
   in
-  let run dataset text nodes workers batched slow json segments =
+  let run dataset text nodes workers slow json segments =
     to_exit
       (let ( let* ) = Result.bind in
        let* graph = load_graph dataset in
@@ -314,9 +301,7 @@ let why_cmd =
        let faults =
          if slow_nodes = [] then None else Some { Faults.none with Faults.slow_nodes }
        in
-       let common =
-         { Engine.Common.default with Engine.Common.obs; batched; faults }
-       in
+       let common = { Engine.Common.default with Engine.Common.obs; faults } in
        let report =
          Async_engine.run ~common ~cluster_config:config
            ~channel_config:Channel.default_config ~graph
@@ -357,8 +342,8 @@ let why_cmd =
           extraction over the hand-off DAG, attributed to compute / queue-wait / network / \
           retransmit-recovery / barrier / tracker-coordination")
     Term.(
-      const run $ dataset_arg $ query_arg $ nodes_arg $ workers_arg $ batched_arg $ slow_arg
-      $ json_arg $ segments_arg)
+      const run $ dataset_arg $ query_arg $ nodes_arg $ workers_arg $ slow_arg $ json_arg
+      $ segments_arg)
 
 let chaos_cmd =
   let drop_arg =
@@ -417,8 +402,8 @@ let chaos_cmd =
     | x :: rest ->
       Result.bind (parse x) (fun v -> Result.map (fun vs -> v :: vs) (parse_all parse rest))
   in
-  let run dataset text engine nodes workers batched drop dup delay_prob delay_us slow pauses
-      seed deadline_ms =
+  let run dataset text engine nodes workers drop dup delay_prob delay_us slow pauses seed
+      deadline_ms =
     to_exit
       (let ( let* ) = Result.bind in
        let* graph = load_graph dataset in
@@ -445,7 +430,6 @@ let chaos_cmd =
          {
            Engine.Common.default with
            Engine.Common.check = true;
-           batched;
            faults = Some spec;
            deadline = Option.map Sim_time.ms deadline_ms;
          }
@@ -489,8 +473,8 @@ let chaos_cmd =
          "Run a query under injected faults (drop/duplicate/delay, stragglers, pauses) with \
           the sanitizer on, and check results against the reference oracle")
     Term.(
-      const run $ dataset_arg $ query_arg $ engine_arg $ nodes_arg $ workers_arg $ batched_arg
-      $ drop_arg $ dup_arg $ delay_prob_arg $ delay_us_arg $ slow_arg $ pause_arg $ seed_arg
+      const run $ dataset_arg $ query_arg $ engine_arg $ nodes_arg $ workers_arg $ drop_arg
+      $ dup_arg $ delay_prob_arg $ delay_us_arg $ slow_arg $ pause_arg $ seed_arg
       $ deadline_ms_arg)
 
 let mc_cmd =

@@ -45,44 +45,42 @@ let flavor_name = function
 type adaptive_options = {
   refine_interval : Sim_time.t; (* min sim-time between refinement rounds *)
   min_traffic : int; (* profiled remote hops before a round may trigger *)
-  max_imbalance : float; (* per-partition size cap, max over mean *)
-  max_heat_imbalance : float; (* per-partition profiled-traffic cap *)
-  max_moves : int; (* vertex moves per refinement round *)
 }
 
 (* A round needs a substantial fresh profile before it may fire:
    refining on a few hundred early observations chases noise — thousands
    of vertices migrate toward a local optimum of a sample that does not
    resemble the workload, and the next round drags them back. *)
-let default_adaptive =
-  {
-    refine_interval = Sim_time.us 50;
-    min_traffic = 4096;
-    max_imbalance = 1.1;
-    max_heat_imbalance = 1.5;
-    max_moves = 1024;
-  }
+let default_adaptive = { refine_interval = Sim_time.us 50; min_traffic = 4096 }
+
+(* Caps of every refinement round: per-partition size at most 1.1x the
+   mean, profiled traffic at most 1.5x the mean, 1024 vertex moves. *)
+let refine_max_imbalance = 1.1
+let refine_max_heat_imbalance = 1.5
+let refine_max_moves = 1024
 
 type options = {
   flavor : flavor;
   weight_coalescing : bool;
   shared_state : bool;
-  quantum : int; (* tasks per worker scheduling quantum *)
   memory_capacity : int option; (* per-node memory, for the single-node study *)
-  swap_penalty : int; (* data-access multiplier when the graph exceeds memory *)
   partition : Partition.strategy; (* the H of the partitioned graph model *)
   adaptive : adaptive_options; (* online repartitioning (Adaptive only) *)
   initial_assignment : int array option; (* warm-start owner table (Adaptive only) *)
 }
+
+(* Tasks per worker scheduling quantum. *)
+let quantum_tasks = 64
+
+(* Data-access multiplier once the graph exceeds [memory_capacity]. *)
+let swap_penalty = 60
 
 let default_options =
   {
     flavor = Graphdance;
     weight_coalescing = true;
     shared_state = false;
-    quantum = 64;
     memory_capacity = None;
-    swap_penalty = 40;
     partition = Partition.Hash;
     adaptive = default_adaptive;
     initial_assignment = None;
@@ -97,12 +95,6 @@ let default_options =
    and costs are untouched whether tracing is on or off. *)
 type payload =
   | P_trav of { qid : int; trav : Traverser.t; mutable cz : int }
-  | P_trav_batch of { qid : int; travs : Traverser.t list; mutable cz : int }
-    (* Frontier batching ([Engine.Common.batched]): one coalesced message
-       per (destination, step) group instead of one packet per traverser.
-       Each traverser still carries its own step and weight, so reliable
-       delivery (ack / retransmit / dedup) treats the batch like any
-       other payload and conservation is untouched. *)
   | P_progress of { qid : int; phase : int; weight : Weight.t; mutable cz : int }
   | P_agg_flush of { qid : int; agg_step : int; mutable cz : int }
   | P_agg_partial of { qid : int; agg_step : int; partial : Aggregate.t option; mutable cz : int }
@@ -117,10 +109,6 @@ type payload =
 
 let payload_bytes = function
   | P_trav { trav; _ } -> 8 + Traverser.bytes trav
-  | P_trav_batch { travs; _ } ->
-    (* One header amortized over the batch; elements pay only their own
-       serialized size, not a per-message frame. *)
-    List.fold_left (fun acc t -> acc + Traverser.bytes t) 16 travs
   | P_progress _ -> 8 + Weight.bytes + 8
   | P_agg_flush _ -> 16
   | P_agg_partial { partial; _ } ->
@@ -162,7 +150,6 @@ type worker = {
   mutable busy_total : Sim_time.t; (* accumulated CPU time *)
   mutable awake : bool; (* a quantum event is scheduled *)
   members : int array Lazy.t; (* owned vertices, for Scan sources *)
-  scratch : Batch_exec.scratch Lazy.t; (* batched-mode bitset verdict memo *)
   (* Causal worker chain: the last execution node on this worker and its
      query, valid only while the worker has been continuously busy since
      (invalidated at every idle gap). When the chain is live and owned by
@@ -186,9 +173,6 @@ let create ?(options = default_options) ?(common = Engine.Common.default) ~clust
   let obs = common.Engine.Common.obs in
   let check = common.Engine.Common.check in
   let deadline = common.Engine.Common.deadline in
-  (* Frontier batching is opt-in; everything it touches is gated on this
-     flag so the unbatched path stays byte-identical. *)
-  let batched = common.Engine.Common.batched in
   let mutation = common.Engine.Common.mutation in
   let cluster = Cluster.create cluster_config in
   (* Fault plane (if any) attaches before the channel is created, so the
@@ -354,7 +338,6 @@ let create ?(options = default_options) ?(common = Engine.Common.default) ~clust
                (each vertex scanned exactly once no matter what moves). *)
             (if adaptive_on then Lazy.from_val (Partition.members partition id)
              else lazy (Partition.members partition id));
-          scratch = lazy (Batch_exec.scratch ~graph);
         })
   in
   (* Flight-recorder series handles, resolved once (lookup is linear). *)
@@ -397,28 +380,29 @@ let create ?(options = default_options) ?(common = Engine.Common.default) ~clust
   let migrated_ever : (int, unit) Hashtbl.t = Hashtbl.create 64 in
   let next_round = ref Sim_time.zero in
   let profiled_at_round = ref 0 in
-  (* The vertex whose owner the dispatch target is, if any: By_vertex
-     routes by the traverser's vertex, By_key by the key's vertex when
-     the key is one. Coordinator-routed and hash-routed steps (and
-     Gaia's centralized stateful ops) have none. *)
-  let routed_vertex q (trav : Traverser.t) =
+  (* Route a traverser about to execute its step (the h_psi of §III-A).
+     The answer is one int, so the dispatch path allocates nothing: a
+     non-negative result is the vertex whose owner receives the
+     traverser (By_vertex, or a By_key that evaluates to a vertex); a
+     negative one is [-1 - worker] for a fixed destination (the
+     coordinator, a hashed non-vertex key, or worker 0 for Gaia's
+     centralized stateful ops). *)
+  let route q (trav : Traverser.t) =
     let step = Program.step q.program trav.step in
     let centralized =
       match (options.flavor, step.Step.op) with
       | Gaia_like, (Step.Dedup _ | Step.Visit _ | Step.Join _ | Step.Aggregate _) -> true
       | _ -> false
     in
-    if centralized then None
+    if centralized then -1
     else begin
       match Step.routing step.Step.op with
-      | Step.By_coordinator -> None
-      | Step.By_vertex -> Some trav.Traverser.vertex
+      | Step.By_coordinator -> -1 - q.coordinator
+      | Step.By_vertex -> trav.vertex
       | Step.By_key e -> begin
-        match
-          Step.eval_expr graph ~vertex:trav.Traverser.vertex ~regs:trav.Traverser.regs e
-        with
-        | Value.Vertex v -> Some v
-        | _ -> None
+        match Step.eval_expr graph ~vertex:trav.vertex ~regs:trav.regs e with
+        | Value.Vertex v -> v
+        | v -> -1 - (Value.hash v mod n_workers)
       end
     end
   in
@@ -487,7 +471,7 @@ let create ?(options = default_options) ?(common = Engine.Common.default) ~clust
     in
     (* Memory thrashing faults the whole access path, not just the data
        columns (§V-A3: GraphScope on SF1000). *)
-    if swapping then base * options.swap_penalty else base
+    if swapping then base * swap_penalty else base
   in
   (* --- Channel and routing -------------------------------------------- *)
   let channel_ref = ref None in
@@ -516,7 +500,6 @@ let create ?(options = default_options) ?(common = Engine.Common.default) ~clust
     in
     match p with
     | P_trav ({ qid; _ } as r) -> r.cz <- arrive ~qid ~name:"arrive" r.cz
-    | P_trav_batch ({ qid; _ } as r) -> r.cz <- arrive ~qid ~name:"arrive-batch" r.cz
     | P_progress ({ qid; _ } as r) -> r.cz <- arrive ~qid ~name:"arrive-progress" r.cz
     | P_agg_flush ({ qid; _ } as r) -> r.cz <- arrive ~qid ~name:"arrive-agg" r.cz
     | P_agg_partial ({ qid; _ } as r) -> r.cz <- arrive ~qid ~name:"arrive-partial" r.cz
@@ -554,28 +537,10 @@ let create ?(options = default_options) ?(common = Engine.Common.default) ~clust
     else
       Channel.send (channel ()) ~at ~src_worker:src ~dst_worker:dst ~kind
         ~bytes:(payload_bytes payload) payload
-  (* Route a traverser about to execute [step_idx]. *)
-  and route q (trav : Traverser.t) =
-    let step = Program.step q.program trav.step in
-    let centralized =
-      match options.flavor, step.Step.op with
-      | Gaia_like, (Step.Dedup _ | Step.Visit _ | Step.Join _ | Step.Aggregate _) -> true
-      | _ -> false
-    in
-    if centralized then 0
-    else begin
-      match Step.routing step.Step.op with
-      | Step.By_coordinator -> q.coordinator
-      | Step.By_vertex -> Partition.owner partition trav.vertex
-      | Step.By_key e -> begin
-        match Step.eval_expr graph ~vertex:trav.vertex ~regs:trav.regs e with
-        | Value.Vertex v -> Partition.owner partition v
-        | v -> Value.hash v mod n_workers
-      end
-    end
   and dispatch_trav ~at ~src ?src_vertex ?(cz = -1) q trav =
     if obs_on then incr inflight;
-    let dst = route q trav in
+    let target = route q trav in
+    let dst = if target >= 0 then Partition.owner partition target else -1 - target in
     let step = Program.step q.program trav.step in
     let kind =
       match step.Step.op with
@@ -586,20 +551,13 @@ let create ?(options = default_options) ?(common = Engine.Common.default) ~clust
     (* Traffic profiling: every remote dispatch whose target is decided
        by a vertex's owner is an edge of the workload's communication
        graph — the signal the adaptive repartitioner minimizes. *)
-    if (traffic_on || adaptive_on) && dst <> src then begin
-      match src_vertex with
-      | None -> cost
-      | Some u -> begin
-        match routed_vertex q trav with
-        | None -> cost
-        | Some v ->
-          let bytes = 8 + Traverser.bytes trav in
-          Pstm_obs.Traffic.record obs_traffic ~src:u ~dst:v ~bytes;
-          Pstm_obs.Traffic.record profile ~src:u ~dst:v ~bytes;
-          if adaptive_on then Sim_time.add cost (maybe_adapt ~at ~src ~cz ()) else cost
-      end
-    end
-    else cost
+    match src_vertex with
+    | Some u when (traffic_on || adaptive_on) && dst <> src && target >= 0 ->
+      let bytes = 8 + Traverser.bytes trav in
+      Pstm_obs.Traffic.record obs_traffic ~src:u ~dst:target ~bytes;
+      Pstm_obs.Traffic.record profile ~src:u ~dst:target ~bytes;
+      if adaptive_on then Sim_time.add cost (maybe_adapt ~at ~src ~cz ()) else cost
+    | _ -> cost
   (* Refinement round, triggered lazily off the remote-dispatch path once
      enough fresh traffic has been profiled and the interval elapsed.
      Refinement itself runs on the partition directory off the critical
@@ -622,8 +580,8 @@ let create ?(options = default_options) ?(common = Engine.Common.default) ~clust
       in
       let assignment = Partition.to_assignment partition in
       let moves, _stats =
-        Repartition.refine ~max_imbalance:ao.max_imbalance
-          ~max_heat_imbalance:ao.max_heat_imbalance ~max_moves:ao.max_moves
+        Repartition.refine ~max_imbalance:refine_max_imbalance
+          ~max_heat_imbalance:refine_max_heat_imbalance ~max_moves:refine_max_moves
           ~n_parts:n_workers ~assignment edges
       in
       let cost = ref Sim_time.zero in
@@ -945,12 +903,6 @@ let create ?(options = default_options) ?(common = Engine.Common.default) ~clust
         !cost
       end
     end
-    | P_trav_batch { qid; travs; cz } ->
-      (* Only the batched drain produces these, and it also consumes them;
-         if one reaches the scalar path anyway, unpack and run in order. *)
-      List.fold_left
-        (fun acc trav -> Sim_time.add acc (process w ~at (P_trav { qid; trav; cz })))
-        Sim_time.zero travs
     | P_progress { qid; phase; weight; cz } -> begin
       match Hashtbl.find_opt queries qid with
       | None -> Sim_time.zero
@@ -1156,279 +1108,6 @@ let create ?(options = default_options) ?(common = Engine.Common.default) ~clust
           if obs_on then incr inflight;
           deliver q.coordinator (P_trav { qid = q.qid; trav = root; cz }))
       entries
-  (* ---- Frontier batching ([Engine.Common.batched]) ---------------------
-     The quantum drains its task queue into per-(qid, step) frontier
-     groups (first-seen order) and executes each group once: fusable
-     chains run through {!Batch_exec} as CSR-range scans, everything else
-     runs the scalar interpreter with the dispatch cost amortized over
-     the batch. Staging is strictly intra-quantum — every staged group
-     executes before the quantum ends — so no weight is ever parked
-     across quanta and termination detection is untouched. *)
-  and drain_batched w local budget =
-    (* Each group carries the distinct causal contexts of the payloads
-       that fed it (consecutive-dedup: a batch contributes one context
-       for all its elements), so the batch node can record every arrival
-       it coalesced. *)
-    let groups : (int * int, Traverser.t Vec.t * int Vec.t) Hashtbl.t = Hashtbl.create 8 in
-    let order = ref [] in
-    let stage ~cz qid (trav : Traverser.t) =
-      if obs_on then decr inflight;
-      let key = (qid, trav.Traverser.step) in
-      match Hashtbl.find_opt groups key with
-      | Some (bucket, czs) ->
-        Vec.push bucket trav;
-        if cz >= 0 && (Vec.length czs = 0 || Vec.get czs (Vec.length czs - 1) <> cz) then
-          Vec.push czs cz
-      | None ->
-        let bucket = Vec.create ~dummy:trav in
-        let czs = Vec.create ~dummy:(-1) in
-        Vec.push bucket trav;
-        if cz >= 0 then Vec.push czs cz;
-        Hashtbl.add groups key (bucket, czs);
-        order := key :: !order
-    in
-    while !budget > 0 && not (Queue.is_empty w.tasks) do
-      match Queue.pop w.tasks with
-      | P_trav { qid; trav; cz } ->
-        decr budget;
-        stage ~cz qid trav
-      | P_trav_batch { qid; travs; cz } ->
-        (* Each element charges the budget: a batch is cheaper to execute,
-           not free to schedule. *)
-        List.iter
-          (fun trav ->
-            decr budget;
-            stage ~cz qid trav)
-          travs
-      | payload ->
-        decr budget;
-        local := Sim_time.add !local (fault_scale w.id (process w ~at:!local payload))
-    done;
-    List.iter
-      (fun (qid, step_idx) ->
-        let bucket, czs = Hashtbl.find groups (qid, step_idx) in
-        let travs = Vec.to_array bucket in
-        local :=
-          Sim_time.add !local
-            (fault_scale w.id (exec_batch w ~at:!local ~qid ~step_idx ~czs travs)))
-      (List.rev !order)
-  and exec_batch w ~at ~qid ~step_idx ~czs travs_all =
-    ignore (czs : int Vec.t);
-    match Hashtbl.find_opt queries qid with
-    | None -> Sim_time.zero
-    | Some q when not q.active -> Sim_time.zero
-    | Some q ->
-      (* One execution node per frontier group, created before the
-         migration gate so forwarded / stashed elements inherit it.
-         Incoming: every coalesced context (Queue) first, the worker
-         chain (Compute) last when it binds. *)
-      let cz_b =
-        if not cz_on then -1
-        else begin
-          let s =
-            Pstm_obs.Causal.node causal ~qid
-              ~name:(Step.op_name (Program.step q.program step_idx).Step.op)
-              ~ts:at
-          in
-          Vec.iter
-            (fun c -> Pstm_obs.Causal.edge causal ~src:c ~dst:s Pstm_obs.Causal.Queue)
-            czs;
-          if w.cz_last_qid = qid then
-            Pstm_obs.Causal.edge causal ~src:w.cz_last ~dst:s Pstm_obs.Causal.Compute;
-          w.cz_last <- s;
-          w.cz_last_qid <- qid;
-          s
-        end
-      in
-      let cost = ref Sim_time.zero in
-      (* The migration gate reruns at execution time: the owner table may
-         have flipped while the group sat staged, and a stale execution
-         of a stateful step would read half-moved memo state. *)
-      let runnable =
-        if not adaptive_on then travs_all
-        else
-          Array.of_list
-            (List.filter
-               (fun trav ->
-                 match stateful_key_vertex q trav with
-                 | Some v when Partition.owner partition v <> w.id ->
-                   Metrics.count_forwarded metrics;
-                   mig_event "forward" v;
-                   if obs_on then incr inflight;
-                   cost :=
-                     Sim_time.add !cost
-                       (send ~at ~src:w.id ~dst:(Partition.owner partition v)
-                          ~kind:Metrics.Traverser_msg (P_trav { qid; trav; cz = cz_b }));
-                   false
-                 | Some v when Hashtbl.mem migrating v ->
-                   Metrics.count_stashed metrics;
-                   mig_event "stash" v;
-                   let stash = Hashtbl.find migrating v in
-                   stash := P_trav { qid; trav; cz = cz_b } :: !stash;
-                   false
-                 | _ -> true)
-               (Array.to_list travs_all))
-      in
-      let n = Array.length runnable in
-      if n = 0 then !cost
-      else begin
-        if obs_on && Bitset.add_if_absent q.touched w.id then
-          Pstm_obs.Trace.instant trace ~tid:(Engine.query_track qid) ~name:"first_touch" ~ts:at
-            ~args:[ ("worker", Pstm_obs.Trace.I w.id) ]
-            ();
-        Metrics.count_batch metrics ~traversers:n;
-        for _ = 1 to n do
-          Metrics.count_step metrics
-        done;
-        (* Execute: fused chain over the whole frontier, or the scalar
-           interpreter per element with the dispatch amortized. Children
-           are paired with their parent's vertex for traffic profiling. *)
-        let spawns : (int * Traverser.t) Vec.t = Vec.create ~dummy:(0, runnable.(0)) in
-        let rows = ref [] in
-        let finished = ref Weight.zero in
-        let edges = ref 0 in
-        let reads = ref 0 in
-        let memo_ops = ref 0 in
-        let memo_hits = ref 0 in
-        let memo_misses = ref 0 in
-        if Batch_exec.fusable q.program step_idx then begin
-          let o =
-            Batch_exec.run ~graph ~scratch:(Lazy.force w.scratch) ~prng:w.prng
-              ~program:q.program ~step:step_idx runnable
-          in
-          if check && not (Batch_exec.conserves runnable o) then
-            Engine.check_fail "async: query %d batch at step %d (%s) broke weight conservation"
-              qid step_idx
-              (Step.op_name (Program.step q.program step_idx).Step.op);
-          Batch_exec.iter_spawns o (fun ~parent child ->
-              Vec.push spawns (runnable.(parent).Traverser.vertex, child));
-          finished := o.Batch_exec.finished;
-          edges := o.Batch_exec.edges_scanned;
-          reads := o.Batch_exec.prop_reads
-        end
-        else begin
-          let scan label =
-            let mine = Lazy.force w.members in
-            match label with
-            | None -> mine
-            | Some l ->
-              Array.of_seq
-                (Seq.filter (Graph.has_vertex_label graph ~label:l) (Array.to_seq mine))
-          in
-          Array.iter
-            (fun (trav : Traverser.t) ->
-              let o = Exec.exec ~graph ~memo:w.memo ~prng:w.prng ~qid ~program:q.program ~scan trav in
-              if check && not (Exec.conserves trav o) then
-                Engine.check_fail "async: query %d step %d (%s) broke weight conservation" qid
-                  trav.Traverser.step
-                  (Step.op_name (Program.step q.program trav.Traverser.step).Step.op);
-              List.iter (fun c -> Vec.push spawns (trav.Traverser.vertex, c)) o.Exec.spawns;
-              rows := List.rev_append o.Exec.rows !rows;
-              finished := Weight.add !finished o.Exec.finished;
-              edges := !edges + o.Exec.edges_scanned;
-              reads := !reads + o.Exec.prop_reads;
-              memo_ops := !memo_ops + o.Exec.memo_ops;
-              memo_hits := !memo_hits + o.Exec.memo_hits;
-              memo_misses := !memo_misses + o.Exec.memo_misses)
-            runnable;
-          rows := List.rev !rows
-        end;
-        Metrics.count_edges metrics !edges;
-        (* Per-batch cost: ONE dispatch plus the data/memo volume — the
-           amortization the batching exists for. *)
-        let data = (!edges * costs.Cluster.per_edge) + (!reads * costs.Cluster.per_property) in
-        let data = if options.shared_state then data + (data / 2) else data in
-        let base_cost =
-          costs.Cluster.step_dispatch + shared_step_penalty () + data
-          + (!memo_ops * memo_op_cost ())
-        in
-        let base_cost = if swapping then base_cost * options.swap_penalty else base_cost in
-        if obs_on then
-          Pstm_obs.Opstats.record opstats ~step:step_idx ~out:(Vec.length spawns)
-            ~rows:(List.length !rows)
-            ~finished:(not (Weight.is_zero !finished))
-            ~edges:!edges ~memo_hits:!memo_hits ~memo_misses:!memo_misses
-            ~busy_ns:(Sim_time.to_ns base_cost);
-        cost := Sim_time.add !cost base_cost;
-        (* Coalesced dispatch: group children by (destination, kind) and
-           ship one P_trav_batch per group. *)
-        let buckets : (int * Metrics.msg_kind, (int * Traverser.t) Vec.t) Hashtbl.t =
-          Hashtbl.create 8
-        in
-        let bucket_order = ref [] in
-        Vec.iter
-          (fun (parent_vertex, (child : Traverser.t)) ->
-            Metrics.count_spawn metrics;
-            let dst = route q child in
-            let kind =
-              match (Program.step q.program child.Traverser.step).Step.op with
-              | Step.Emit _ -> Metrics.Result_msg
-              | _ -> Metrics.Traverser_msg
-            in
-            let key = (dst, kind) in
-            match Hashtbl.find_opt buckets key with
-            | Some b -> Vec.push b (parent_vertex, child)
-            | None ->
-              let b = Vec.create ~dummy:(parent_vertex, child) in
-              Vec.push b (parent_vertex, child);
-              Hashtbl.add buckets key b;
-              bucket_order := key :: !bucket_order)
-          spawns;
-        List.iter
-          (fun (dst, kind) ->
-            let children = Hashtbl.find buckets (dst, kind) in
-            if obs_on then inflight := !inflight + Vec.length children;
-            if dst <> w.id then Metrics.count_coalesced_msg metrics;
-            let travs = List.map snd (Vec.to_list children) in
-            cost :=
-              Sim_time.add !cost
-                (send ~at ~src:w.id ~dst ~kind (P_trav_batch { qid; travs; cz = cz_b }));
-            if (traffic_on || adaptive_on) && dst <> w.id then
-              Vec.iter
-                (fun (parent_vertex, child) ->
-                  match routed_vertex q child with
-                  | None -> ()
-                  | Some v ->
-                    let bytes = 8 + Traverser.bytes child in
-                    Pstm_obs.Traffic.record obs_traffic ~src:parent_vertex ~dst:v ~bytes;
-                    Pstm_obs.Traffic.record profile ~src:parent_vertex ~dst:v ~bytes)
-                children)
-          (List.rev !bucket_order);
-        if adaptive_on then cost := Sim_time.add !cost (maybe_adapt ~at ~src:w.id ~cz:cz_b ());
-        (* Rows land here at the coordinator (Emit routes there first);
-           their weight reaches the tracker as one per-batch merge. *)
-        if !rows <> [] then begin
-          assert (w.id = q.coordinator);
-          let row_weight = ref Weight.zero in
-          List.iter
-            (fun (row, weight) ->
-              Vec.push q.rows row;
-              row_weight := Weight.add !row_weight weight)
-            !rows;
-          cost :=
-            Sim_time.add !cost
-              (tracker_receive ~at ~cz:cz_b w q
-                 (Program.phase_of_step q.program step_idx)
-                 !row_weight)
-        end;
-        if not (Weight.is_zero !finished) then
-          cost :=
-            Sim_time.add !cost
-              (finish_weight ~at ~cz:cz_b w q (Program.phase_of_step q.program step_idx)
-                 !finished);
-        if obs_on then
-          Pstm_obs.Trace.span trace ~tid:w.id
-            ~name:("batch:" ^ Step.op_name (Program.step q.program step_idx).Step.op)
-            ~ts:at ~dur:!cost
-            ~args:
-              [
-                ("qid", Pstm_obs.Trace.I qid);
-                ("step", Pstm_obs.Trace.I step_idx);
-                ("size", Pstm_obs.Trace.I n);
-              ]
-            ();
-        !cost
-      end
   and quantum w =
     (* [awake] stays true while the quantum runs: self-sends and deferred
        events need no extra wakeup, and the tail of this function either
@@ -1462,14 +1141,12 @@ let create ?(options = default_options) ?(common = Engine.Common.default) ~clust
       local :=
         Sim_time.add !local
           (fault_scale w.id (costs.Cluster.operator_sched * !active_op_count));
-    let budget = ref options.quantum in
-    if batched then drain_batched w local budget
-    else
-      while !budget > 0 && not (Queue.is_empty w.tasks) do
-        decr budget;
-        let payload = Queue.pop w.tasks in
-        local := Sim_time.add !local (fault_scale w.id (process w ~at:!local payload))
-      done;
+    let budget = ref quantum_tasks in
+    while !budget > 0 && not (Queue.is_empty w.tasks) do
+      decr budget;
+      let payload = Queue.pop w.tasks in
+      local := Sim_time.add !local (fault_scale w.id (process w ~at:!local payload))
+    done;
     (* Coalesced weights ship when the worker idles or once enough have
        merged locally to justify a message (§IV-A: they ride along with
        buffer flushes, not with every death). *)
@@ -1750,9 +1427,6 @@ let create ?(options = default_options) ?(common = Engine.Common.default) ~clust
     sh_drive = drive;
     sh_finish = finish;
   }
-
-let start ?options ?common ~cluster_config ~channel_config ~graph () =
-  create ?options ?common ~cluster_config ~channel_config ~graph ()
 
 let run ?options ?common ~cluster_config ~channel_config ~graph
     (submissions : Engine.submission array) =

@@ -18,15 +18,12 @@ val flavor_name : flavor -> string
     [partition = Partition.Adaptive]). Refinement rounds are triggered
     lazily from the remote-dispatch path: a round fires when at least
     [min_traffic] cross-partition traversals have been profiled since the
-    last round and [refine_interval] simulated time has elapsed. *)
+    last round and [refine_interval] simulated time has elapsed. Every
+    round keeps each partition within 1.1x the mean vertex count and
+    1.5x the mean profiled traffic, and moves at most 1024 vertices. *)
 type adaptive_options = {
   refine_interval : Sim_time.t;  (** minimum spacing between refinement rounds *)
   min_traffic : int;  (** fresh profiled traversals needed to consider a round *)
-  max_imbalance : float;  (** per-partition size cap, as a factor of the mean *)
-  max_heat_imbalance : float;
-      (** per-partition profiled-traffic cap, as a factor of the mean —
-          bounds how much hot work co-location may concentrate *)
-  max_moves : int;  (** migration budget per refinement round *)
 }
 
 val default_adaptive : adaptive_options
@@ -35,11 +32,9 @@ type options = {
   flavor : flavor;
   weight_coalescing : bool;
   shared_state : bool;
-  quantum : int;
   memory_capacity : int option;
       (** per-node memory budget; a graph exceeding the cluster total
-          makes data access pay [swap_penalty] (the single-node study) *)
-  swap_penalty : int;
+          makes every data access 60x slower (the single-node study) *)
   partition : Partition.strategy; (** the H of the partitioned graph model *)
   adaptive : adaptive_options;
       (** online-repartitioning knobs, read only under [Partition.Adaptive] *)
@@ -85,15 +80,6 @@ val run :
     [run] is [create] + submit-all + drive-to-completion + finish, so the
     two entry points cannot drift. *)
 val create :
-  ?options:options ->
-  ?common:Engine.Common.t ->
-  cluster_config:Cluster.config ->
-  channel_config:Channel.config ->
-  graph:Graph.t ->
-  unit ->
-  Engine.service_handle
-
-val start :
   ?options:options ->
   ?common:Engine.Common.t ->
   cluster_config:Cluster.config ->

@@ -1,13 +1,12 @@
 (* Frontier-batched execution of fusable step chains.
 
    The scalar interpreter ([Exec.exec]) pays one dispatch per traverser
-   per step. When many traversers are resident at the same (partition,
-   step) — the common case for frontier-shaped traversals — the engine
-   can instead run them as one batch: a maximal chain of side-effect-free
-   steps (Expand / Filter / Set_reg) is executed breadth-first over the
-   whole frontier, sweeping CSR adjacency ranges directly via
-   {!Csr.slice} / {!Csr.target_at} and memoizing register-free filter
-   verdicts per vertex in a bitset pair.
+   per step. When many traversers sit at the same step — the common case
+   for frontier-shaped traversals — they can instead run as one batch: a
+   maximal chain of side-effect-free steps (Expand / Filter / Set_reg)
+   is executed breadth-first over the whole frontier, sweeping CSR
+   adjacency ranges directly via {!Csr.slice} / {!Csr.target_at} and
+   memoizing register-free filter verdicts per vertex in a bitset pair.
 
    Chains without a Set_reg (the hot case) run on a packed frontier: one
    int per element, parent batch index in the high bits and vertex in
@@ -22,16 +21,19 @@
 
      sum(parent weights) = sum(leaf weights) + rows + finished
 
-   holds bit for bit — the engines' [~check:true] sanitizer asserts it
-   per batch via {!conserves}. The split uses different PRNG draws than
-   the scalar order would, so batched runs are weight-*conserving* but
-   not weight-*identical* to unbatched runs; results and invariants
-   match, packet traces differ.
+   holds bit for bit ({!conserves} checks it). The split uses different
+   PRNG draws than the scalar order would, so a batch is
+   weight-*conserving* but not weight-*identical* to stepping each
+   traverser; exit vertices, registers and edges scanned match.
 
    Stateful ops (Dedup, Visit, Join, Aggregate), sources and Emit are
-   never fused: their memo effects are order-sensitive per element and
-   they stay on the scalar interpreter (the engine still amortizes their
-   dispatch cost per batch). *)
+   never fused: their memo effects are order-sensitive per element.
+
+   No engine runs this module; it is the layer kernel the benchmark
+   measures against [Exec.exec]. An engine could not use it as is: a
+   fused chain reads the adjacency and properties of every vertex it
+   reaches, whichever partition owns them, skipping the routing hop of
+   §III-A. *)
 
 (* Record frontier element, for Set_reg chains only. *)
 type entry = { parent : int; vertex : int; regs : Value.t array }
@@ -201,6 +203,13 @@ let settle ~prng ~(travs : Traverser.t array) ~leaves_len ~s ~parent_at =
   skip_until (Array.length travs);
   !finished
 
+(* Edge accounting of one element's expansion, matching [Exec.exec]: the
+   full adjacency range is charged even under a label restriction (every
+   position is examined), but an expansion that spawns no child charges
+   nothing, because the scalar interpreter finishes a childless
+   traverser's weight without recording its scan. *)
+let charge ~edges ~width ~spawned = if spawned then edges := !edges + width
+
 (* --- Packed fast path: chains without Set_reg ------------------------- *)
 
 let run_packed ~graph ~scratch:s ~prng ~program ~chain_steps ~exit_step
@@ -220,13 +229,9 @@ let run_packed ~graph ~scratch:s ~prng ~program ~chain_steps ~exit_step
       Vec.clear out;
       (match (Program.step program idx).Step.op with
       | Step.Expand { dir; edge_label } ->
-        (* The scalar interpreter charges the full adjacency range even
-           under a label restriction (every position is examined); the
-           slice width matches that accounting. *)
         let scan csr pbits v =
           let lo, hi = Csr.slice csr v in
-          edges := !edges + (hi - lo);
-          match edge_label with
+          (match edge_label with
           | None ->
             for pos = lo to hi - 1 do
               Vec.push out (pbits lor Csr.target_at csr pos)
@@ -234,18 +239,23 @@ let run_packed ~graph ~scratch:s ~prng ~program ~chain_steps ~exit_step
           | Some l ->
             for pos = lo to hi - 1 do
               if Csr.label_at csr pos = l then Vec.push out (pbits lor Csr.target_at csr pos)
-            done
+            done);
+          hi - lo
         in
         Vec.iter
           (fun e ->
             let v = e land vmask in
             let pbits = e lxor v in
-            match dir with
-            | Graph.Out -> scan (Graph.out_csr graph) pbits v
-            | Graph.In -> scan (Graph.in_csr graph) pbits v
-            | Graph.Both ->
-              scan (Graph.out_csr graph) pbits v;
-              scan (Graph.in_csr graph) pbits v)
+            let before = Vec.length out in
+            let width =
+              match dir with
+              | Graph.Out -> scan (Graph.out_csr graph) pbits v
+              | Graph.In -> scan (Graph.in_csr graph) pbits v
+              | Graph.Both ->
+                let w = scan (Graph.out_csr graph) pbits v in
+                w + scan (Graph.in_csr graph) pbits v
+            in
+            charge ~edges ~width ~spawned:(Vec.length out > before))
           !current
       | Step.Filter pred ->
         let reads_per_eval = Step.pred_prop_reads pred in
@@ -311,18 +321,22 @@ let run_entries ~graph ~scratch:s ~prng ~program ~chain_steps ~exit_step
       | Step.Expand { dir; edge_label } ->
         let scan csr e =
           let lo, hi = Csr.slice csr e.vertex in
-          edges := !edges + (hi - lo);
           Csr.fold_neighbors_range csr ?label:edge_label ~lo ~hi ~init:() ~f:(fun () ~pos ->
-              Vec.push out { e with vertex = Csr.target_at csr pos })
+              Vec.push out { e with vertex = Csr.target_at csr pos });
+          hi - lo
         in
         Vec.iter
           (fun e ->
-            match dir with
-            | Graph.Out -> scan (Graph.out_csr graph) e
-            | Graph.In -> scan (Graph.in_csr graph) e
-            | Graph.Both ->
-              scan (Graph.out_csr graph) e;
-              scan (Graph.in_csr graph) e)
+            let before = Vec.length out in
+            let width =
+              match dir with
+              | Graph.Out -> scan (Graph.out_csr graph) e
+              | Graph.In -> scan (Graph.in_csr graph) e
+              | Graph.Both ->
+                let w = scan (Graph.out_csr graph) e in
+                w + scan (Graph.in_csr graph) e
+            in
+            charge ~edges ~width ~spawned:(Vec.length out > before))
           !current
       | Step.Filter pred ->
         let reads_per_eval = Step.pred_prop_reads pred in

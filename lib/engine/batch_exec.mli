@@ -1,5 +1,6 @@
 (** Frontier-batched execution of fusable step chains (Expand / Filter /
-    Set_reg), used by engines that opt into [Engine.Common.batched].
+    Set_reg). No engine runs it: it is a layer kernel that the benchmark
+    measures against the scalar interpreter ({!Exec.exec}).
 
     A batch of traversers resident at one (partition, step) executes the
     maximal fusable chain breadth-first: CSR-range scans over the frontier

@@ -44,7 +44,6 @@ module Common = struct
     deadline : Sim_time.t option; (* stop the run at this simulated time *)
     seed : int; (* placement / tie-break randomness *)
     faults : Faults.spec option; (* deterministic fault schedule *)
-    batched : bool; (* frontier-batched execution (engines may ignore it) *)
     chooser : Event_queue.chooser option;
         (* same-timestamp tie chooser installed on the engine's event
            queue; the schedule explorer's entry point *)
@@ -59,7 +58,6 @@ module Common = struct
       deadline = None;
       seed = 0x5157;
       faults = None;
-      batched = false;
       chooser = None;
       mutation = None;
     }
@@ -69,7 +67,6 @@ module Common = struct
   let with_deadline deadline t = { t with deadline }
   let with_seed seed t = { t with seed }
   let with_faults faults t = { t with faults }
-  let with_batched batched t = { t with batched }
   let with_chooser chooser t = { t with chooser }
   let with_mutation mutation t = { t with mutation }
 end

@@ -33,7 +33,6 @@ let options ~memory_capacity =
   {
     Async_engine.default_options with
     Async_engine.memory_capacity = Some memory_capacity;
-    swap_penalty = 60;
   }
 
 let run ?common ?(memory_capacity = 384 * 1024 * 1024) ~workers ~base_config ~graph

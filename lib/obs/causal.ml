@@ -2,7 +2,7 @@
    observability layer.
 
    Every hand-off the async engine performs (seed injection, step
-   execution, batched frontier execution, remote dispatch and delivery,
+   execution, remote dispatch and delivery,
    retransmitted delivery, migration stash-drain, aggregation barrier,
    progress-tracker traffic, tracker release) registers a *node* (an
    instant in sim-time) and *edges* from the events that caused it. An
@@ -25,7 +25,7 @@
    at the owning query's submit node. *)
 
 type category =
-  | Compute (* worker CPU executing steps, batches, flushes *)
+  | Compute (* worker CPU executing steps and flushes *)
   | Queue (* hand-off sat in a worker queue / stash while the worker was elsewhere *)
   | Network (* TLC buffer dwell, NLC window, NIC serialization, wire, shm hop *)
   | Retransmit (* delivery completed by a retransmitted copy: drop + timeout + resend *)

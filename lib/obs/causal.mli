@@ -10,7 +10,7 @@
     end-to-end query latency exactly. *)
 
 type category =
-  | Compute  (** worker CPU executing steps, batches, flushes *)
+  | Compute  (** worker CPU executing steps and flushes *)
   | Queue  (** hand-off waited in a queue or stash *)
   | Network  (** buffer dwell, combining window, NIC, wire, shm hop *)
   | Retransmit  (** delivery completed by a retransmitted copy *)

@@ -50,10 +50,6 @@ let metrics_json (m : Metrics.t) =
       ("migrated_entries", Json.Int (Metrics.migrated_entries m));
       ("forwarded", Json.Int (Metrics.forwarded m));
       ("stashed", Json.Int (Metrics.stashed m));
-      ("batches", Json.Int (Metrics.batches m));
-      ("batched_traversers", Json.Int (Metrics.batched_traversers m));
-      ("coalesced_msgs", Json.Int (Metrics.coalesced_msgs m));
-      ("batch_sizes", histogram_json (Metrics.batch_sizes m));
       ("trace_dropped", Json.Int (Metrics.trace_dropped m));
     ]
 

@@ -53,11 +53,6 @@ type t = {
   mutable migrated_entries : int; (* memo entries re-homed *)
   mutable forwarded : int; (* traversers forwarded to a vertex's new owner *)
   mutable stashed : int; (* traversers parked awaiting migration data *)
-  (* Frontier batching (all zero when batching is off): *)
-  mutable batches : int; (* frontier batches executed *)
-  mutable batched_traversers : int; (* traversers carried by those batches *)
-  mutable coalesced_msgs : int; (* remote traverser-batch messages *)
-  mutable batch_sizes : Histogram.t; (* traversers-per-batch distribution *)
   (* Observability self-diagnostics (mirrored from the recorder ring): *)
   mutable trace_dropped : int; (* trace events overwritten in the bounded ring *)
 }
@@ -88,10 +83,6 @@ let create () =
     migrated_entries = 0;
     forwarded = 0;
     stashed = 0;
-    batches = 0;
-    batched_traversers = 0;
-    coalesced_msgs = 0;
-    batch_sizes = Histogram.create ~base:1.0 ();
     trace_dropped = 0;
   }
 
@@ -120,10 +111,6 @@ let reset t =
   t.migrated_entries <- 0;
   t.forwarded <- 0;
   t.stashed <- 0;
-  t.batches <- 0;
-  t.batched_traversers <- 0;
-  t.coalesced_msgs <- 0;
-  t.batch_sizes <- Histogram.create ~base:1.0 ();
   t.trace_dropped <- 0
 
 let count_message t kind bytes =
@@ -157,13 +144,6 @@ let count_migrated_entries t n = t.migrated_entries <- t.migrated_entries + n
 let count_forwarded t = t.forwarded <- t.forwarded + 1
 let count_stashed t = t.stashed <- t.stashed + 1
 
-let count_batch t ~traversers =
-  t.batches <- t.batches + 1;
-  t.batched_traversers <- t.batched_traversers + traversers;
-  Histogram.add t.batch_sizes (float_of_int traversers)
-
-let count_coalesced_msg t = t.coalesced_msgs <- t.coalesced_msgs + 1
-
 let set_trace_dropped t n = t.trace_dropped <- n
 
 let messages t kind = t.messages.(kind_index kind)
@@ -191,16 +171,9 @@ let migrations t = t.migrations
 let migrated_entries t = t.migrated_entries
 let forwarded t = t.forwarded
 let stashed t = t.stashed
-
-let batches t = t.batches
-let batched_traversers t = t.batched_traversers
-let coalesced_msgs t = t.coalesced_msgs
-let batch_sizes t = t.batch_sizes
 let trace_dropped t = t.trace_dropped
 
 let migration_seen t = t.migrations + t.migrated_entries + t.forwarded + t.stashed > 0
-
-let batching_seen t = t.batches + t.coalesced_msgs > 0
 
 let faults_seen t =
   t.fault_drops + t.fault_dups + t.fault_delays + t.retransmits + t.dup_dropped + t.acks
@@ -224,16 +197,6 @@ let pp ppf t =
   if migration_seen t then
     Fmt.pf ppf " migrations=%d rehomed=%d forwarded=%d stashed=%d" t.migrations
       t.migrated_entries t.forwarded t.stashed;
-  (* Batch counters only appear when frontier batching ran, so the
-     unbatched output is unchanged. *)
-  if batching_seen t then begin
-    Fmt.pf ppf " batches=%d batched_travs=%d coalesced=%d" t.batches t.batched_traversers
-      t.coalesced_msgs;
-    if Histogram.count t.batch_sizes > 0 then begin
-      let p50, p95, p99 = Histogram.quantiles t.batch_sizes in
-      Fmt.pf ppf " batch_p50/p95/p99=%.0f/%.0f/%.0f" p50 p95 p99
-    end
-  end;
   (* A truncated trace ring must be visible wherever metrics are read, so
      a partial trace is never mistaken for a complete one. *)
   if t.trace_dropped > 0 then Fmt.pf ppf " trace_dropped=%d" t.trace_dropped

@@ -36,8 +36,6 @@ val count_migration : t -> unit
 val count_migrated_entries : t -> int -> unit
 val count_forwarded : t -> unit
 val count_stashed : t -> unit
-val count_batch : t -> traversers:int -> unit
-val count_coalesced_msg : t -> unit
 
 (** Mirror the trace ring's overwrite count into the run metrics (set, not
     added: the ring keeps the authoritative count). *)
@@ -74,24 +72,12 @@ val migrated_entries : t -> int
 val forwarded : t -> int
 val stashed : t -> int
 
-(** Frontier-batching counters; all zero when batching is off. *)
-val batches : t -> int
-
-val batched_traversers : t -> int
-val coalesced_msgs : t -> int
-
-(** Traversers-per-batch distribution. *)
-val batch_sizes : t -> Histogram.t
-
 (** Trace events overwritten in the bounded recorder ring; zero when the
     trace is complete (or tracing is off). *)
 val trace_dropped : t -> int
 
 (** Whether any migration counter is non-zero. *)
 val migration_seen : t -> bool
-
-(** Whether any batching counter is non-zero. *)
-val batching_seen : t -> bool
 
 (** Whether any fault-plane counter is non-zero. *)
 val faults_seen : t -> bool

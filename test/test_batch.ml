@@ -1,19 +1,16 @@
-(* Frontier-batched execution:
+(* The Batch_exec kernel against the scalar interpreter.
 
-   - the batched async engine matches the reference oracle's rows on
-     random graphs and queries, with the runtime sanitizer on (which
-     asserts Theorem-1 conservation per batch);
-   - batched runs survive the whole fault matrix and still agree with
-     the oracle;
-   - batch metrics are populated when batching is on and exactly zero
-     when it is off (the off path is the untouched scalar path). *)
+   No engine runs Batch_exec; it is kept as a measured layer kernel. On
+   random graphs, random fusable Expand / Filter / Set_reg chains and
+   random frontiers, one [Batch_exec.run] over the whole frontier must
+   reach the same multiset of exit traversers (vertex and registers) and
+   scan the same number of edges as stepping every traverser through the
+   chain with [Exec.exec], and it must conserve weight (Theorem 1 at
+   batch granularity). *)
 
 open Pstm_engine
-open Pstm_query
 
 let qcheck = QCheck_alcotest.to_alcotest
-
-(* --- Fixtures (same shapes as test_engines) --- *)
 
 let graph_of ~n ~edges =
   let b = Builder.create () in
@@ -30,215 +27,156 @@ let graph_of ~n ~edges =
     edges;
   Builder.build b
 
-let arb_graph =
-  QCheck.make
-    ~print:(fun (n, edges) -> Fmt.str "graph n=%d m=%d" n (List.length edges))
-    QCheck.Gen.(
-      let* n = int_range 4 24 in
-      let* edges = list_size (int_range 0 60) (triple (int_range 0 23) (int_range 0 23) bool) in
-      return (n, edges))
+(* Chain ops, symbolic until a graph fixes the label and key ids. The
+   filters cover both kernel cases: register-free predicates (verdicts
+   memoized per vertex) and register-reading ones (evaluated per
+   element). *)
+type kop =
+  | Expand of Graph.direction * string option
+  | Weight_at_least of int
+  | Label_is_a
+  | Reg0_below_weight
+  | Reg1_is_vertex
+  | Set_reg1_vertex
+  | Set_reg1_weight
 
-(* Random queries biased toward fusable Expand/Filter chains, plus the
-   stateful ops (dedup, aggregates) that must fall back to the scalar
-   interpreter inside a batch. *)
-let arb_query =
+let kop_name = function
+  | Expand (dir, label) ->
+    Fmt.str "expand(%a,%s)" Graph.pp_direction dir (Option.value label ~default:"*")
+  | Weight_at_least k -> Fmt.str "weight>=%d" k
+  | Label_is_a -> "label=A"
+  | Reg0_below_weight -> "r0<weight"
+  | Reg1_is_vertex -> "r1=id"
+  | Set_reg1_vertex -> "r1:=id"
+  | Set_reg1_weight -> "r1:=weight"
+
+let step_op graph kop =
+  let schema = Graph.schema graph in
+  let weight = Step.Prop (Schema.property_key schema "weight") in
+  match kop with
+  | Expand (dir, label) ->
+    Step.Expand { dir; edge_label = Option.map (Schema.edge_label schema) label }
+  | Weight_at_least k -> Step.Filter (Step.Cmp (Step.Ge, weight, Step.Const (Value.Int k)))
+  | Label_is_a ->
+    Step.Filter
+      (Step.Cmp
+         (Step.Eq, Step.Vertex_label, Step.Const (Value.Int (Schema.vertex_label schema "A"))))
+  | Reg0_below_weight -> Step.Filter (Step.Cmp (Step.Lt, Step.Reg 0, weight))
+  | Reg1_is_vertex -> Step.Filter (Step.Cmp (Step.Eq, Step.Reg 1, Step.Vertex_id))
+  | Set_reg1_vertex -> Step.Set_reg { reg = 1; expr = Step.Vertex_id }
+  | Set_reg1_weight -> Step.Set_reg { reg = 1; expr = weight }
+
+(* Scan -> chain -> Emit: the chain occupies steps 1..k and every
+   surviving leaf exits at the Emit, step k + 1. *)
+let program_of graph chain =
+  let k = List.length chain in
+  let steps =
+    Array.of_list
+      (({ Step.op = Step.Scan { vertex_label = None }; next = 1 }
+       :: List.mapi (fun i kop -> { Step.op = step_op graph kop; next = i + 2 }) chain)
+      @ [ { Step.op = Step.Emit [| Step.Vertex_id |]; next = -1 } ])
+  in
+  (Program.make ~name:"chain" ~steps ~n_registers:2 ~entries:[| 0 |], k + 1)
+
+type case = {
+  n : int;
+  edges : (int * int * bool) list;
+  chain : kop list;
+  frontier : (int * int) list; (* start vertex (mod n), initial r0 *)
+  seed : int;
+}
+
+let arb_case =
   let open QCheck.Gen in
-  let movement =
-    oneof
+  let dir = oneofl [ Graph.Out; Graph.In; Graph.Both ] in
+  let label = oneofl [ None; Some "x"; Some "y" ] in
+  let kop =
+    frequency
       [
-        return (Ast.Out (Some "x"));
-        return (Ast.Out (Some "y"));
-        return (Ast.Out None);
-        return (Ast.In (Some "x"));
-        return (Ast.Both (Some "y"));
-      ]
-  in
-  let filter =
-    oneof
-      [
-        map (fun v -> Ast.Has ("weight", Ast.Ge (Value.Int v))) (int_range 0 100);
-        map (fun v -> Ast.Has ("weight", Ast.Lt (Value.Int v))) (int_range 0 100);
-        return (Ast.Has_label "A");
-        return Ast.Dedup;
-      ]
-  in
-  let middle = list_size (int_range 0 5) (oneof [ movement; movement; filter ]) in
-  let repeat =
-    map (fun k -> Ast.Repeat { dir = Graph.Out; label = None; times = k }) (int_range 1 3)
-  in
-  let terminal =
-    oneof
-      [
-        return [ Ast.Count ];
-        return [ Ast.Sum_of "weight" ];
-        return [ Ast.Group_count "weight" ];
-        return [ Ast.Top_k { key = "weight"; k = 4 } ];
-        return [ Ast.Dedup ];
+        (4, map2 (fun d l -> Expand (d, l)) dir label);
+        (2, map (fun k -> Weight_at_least k) (int_range 0 100));
+        (1, return Label_is_a);
+        (1, return Reg0_below_weight);
+        (1, return Reg1_is_vertex);
+        (1, return Set_reg1_vertex);
+        (1, return Set_reg1_weight);
       ]
   in
   let gen =
-    let* source =
-      oneof
-        [
-          map (fun i -> Ast.Lookup { label = None; key = "id"; value = Value.Int i }) (int_range 0 23);
-          return (Ast.Scan_all (Some "A"));
-          return (Ast.Scan_all None);
-        ]
-    in
-    let* use_repeat = bool in
-    let* mid = middle in
-    let* rep = repeat in
-    let* term = terminal in
-    let steps = if use_repeat then (rep :: mid) @ term else mid @ term in
-    return (Ast.Traversal { Ast.source; steps })
+    let* n = int_range 2 24 in
+    let* edges = list_size (int_range 0 80) (triple (int_range 0 23) (int_range 0 23) bool) in
+    let* chain = list_size (int_range 1 5) kop in
+    let* frontier = list_size (int_range 1 16) (pair (int_range 0 23) (int_range 0 100)) in
+    let* seed = int_bound 0xFFFF in
+    return { n; edges; chain; frontier; seed }
   in
-  QCheck.make ~print:(Fmt.str "%a" Ast.pp) gen
+  QCheck.make
+    ~print:(fun c ->
+      Fmt.str "graph n=%d m=%d chain=[%s] frontier=%d seed=%d" c.n (List.length c.edges)
+        (String.concat "; " (List.map kop_name c.chain))
+        (List.length c.frontier) c.seed)
+    gen
 
-let show_rows rows =
-  Fmt.str "%a"
-    (Fmt.list ~sep:(Fmt.any "@.") (Fmt.array ~sep:(Fmt.any "|") Value.pp))
-    (Engine.sorted_rows rows)
+let leaf_key (t : Traverser.t) =
+  Fmt.str "%d|%a" t.Traverser.vertex (Fmt.array ~sep:(Fmt.any ",") Value.pp) t.Traverser.regs
 
-let small_cluster = { Cluster.default_config with Cluster.n_nodes = 3; workers_per_node = 3 }
+(* Every traverser stepped one [Exec.exec] at a time until it reaches
+   the exit step: the exit leaves (sorted) and the edges scanned. *)
+let stepped ~graph ~program ~exit_step travs =
+  let memo = Memo.create () in
+  let prng = Prng.create 1 in
+  let scan _ = [||] in
+  let edges = ref 0 in
+  let leaves = ref [] in
+  let rec go (t : Traverser.t) =
+    if t.Traverser.step = exit_step then leaves := leaf_key t :: !leaves
+    else begin
+      let o = Exec.exec ~graph ~memo ~prng ~qid:0 ~program ~scan t in
+      edges := !edges + o.Exec.edges_scanned;
+      List.iter go o.Exec.spawns
+    end
+  in
+  Array.iter go travs;
+  (List.sort String.compare !leaves, !edges)
 
-(* Batched + sanitizer: every batch asserts conservation. *)
-let batched_common ?faults () =
-  { Engine.Common.default with Engine.Common.batched = true; check = true; faults }
-
-let run_async ?common ?(config = small_cluster) graph program =
-  let common = match common with Some c -> c | None -> batched_common () in
-  Async_engine.run ~common ~cluster_config:config ~channel_config:Channel.default_config ~graph
-    [| Engine.submit program |]
-
-let khop_program graph hops =
-  Compile.compile ~name:"khop" graph
-    Dsl.(v_lookup ~key:"id" (int 0) |> repeat ~dir:Graph.Out ~times:hops () |> count |> build)
-
-(* --- Batched engine vs the oracle --- *)
-
-let batched_matches_oracle =
-  QCheck.Test.make ~name:"batched async matches the reference" ~count:120
-    (QCheck.pair arb_graph arb_query)
-    (fun ((n, edges), ast) ->
-      let graph = graph_of ~n ~edges in
-      match Compile.compile ~name:"prop" graph ast with
-      | exception Compile.Error _ -> QCheck.assume_fail ()
-      | program ->
-        let expected = show_rows (Local_engine.run graph program) in
-        let report = run_async graph program in
-        expected = show_rows report.Engine.queries.(0).Engine.rows)
-
-let batched_deterministic =
-  QCheck.Test.make ~name:"batched runs are deterministic" ~count:40
-    (QCheck.pair arb_graph arb_query)
-    (fun ((n, edges), ast) ->
-      let graph = graph_of ~n ~edges in
-      match Compile.compile ~name:"prop" graph ast with
-      | exception Compile.Error _ -> QCheck.assume_fail ()
-      | program ->
-        let run () =
-          let r = run_async graph program in
-          ( Engine.latency_ms r.Engine.queries.(0),
-            show_rows r.Engine.queries.(0).Engine.rows,
-            Metrics.batches r.Engine.metrics )
-        in
-        run () = run ())
-
-let test_batched_khop_ldbc () =
-  let graph = Pstm_gen.Datasets.load Pstm_gen.Datasets.tiny in
-  List.iter
-    (fun hops ->
-      let program = khop_program graph hops in
-      let expected = show_rows (Local_engine.run graph program) in
-      let report = run_async graph program in
-      Alcotest.(check string) (Fmt.str "%d-hop rows" hops) expected
-        (show_rows report.Engine.queries.(0).Engine.rows);
-      (* One-partition batched runs must agree too. *)
-      let solo =
-        run_async ~config:{ small_cluster with Cluster.n_nodes = 1; workers_per_node = 1 } graph
-          program
+let kernel_matches_stepping =
+  QCheck.Test.make ~name:"fused chain = stepping Exec" ~count:300 arb_case (fun c ->
+      let graph = graph_of ~n:c.n ~edges:c.edges in
+      let program, exit_step = program_of graph c.chain in
+      let prng = Prng.create c.seed in
+      let shares = Weight.split prng Weight.root ~n:(List.length c.frontier) in
+      let travs =
+        Array.of_list
+          (List.mapi
+             (fun i (v, r0) ->
+               Traverser.set_reg
+                 (Traverser.make ~vertex:(v mod c.n) ~step:1 ~weight:shares.(i) ~n_registers:2)
+                 0 (Value.Int r0))
+             c.frontier)
       in
-      Alcotest.(check string)
-        (Fmt.str "%d-hop rows, one partition" hops)
-        expected
-        (show_rows solo.Engine.queries.(0).Engine.rows))
-    [ 1; 2; 3 ]
+      let expected_leaves, expected_edges = stepped ~graph ~program ~exit_step travs in
+      let chain_steps, chain_exit = Batch_exec.chain program 1 in
+      let o =
+        Batch_exec.run ~graph ~scratch:(Batch_exec.scratch ~graph) ~prng ~program ~step:1 travs
+      in
+      let leaves = ref [] in
+      let off_exit = ref 0 in
+      Batch_exec.iter_spawns o (fun ~parent:_ t ->
+          if t.Traverser.step <> exit_step then incr off_exit;
+          leaves := leaf_key t :: !leaves);
+      let leaves = List.sort String.compare !leaves in
+      let fail fmt = QCheck.Test.fail_reportf fmt in
+      if chain_steps <> List.init (List.length c.chain) (fun i -> i + 1) || chain_exit <> exit_step
+      then fail "chain: expected steps 1..%d exiting at %d" (List.length c.chain) exit_step
+      else if !off_exit > 0 then fail "%d leaves off the exit step" !off_exit
+      else if leaves <> expected_leaves then
+        fail "exit leaves differ:@ kernel   [%s]@ stepped  [%s]" (String.concat " " leaves)
+          (String.concat " " expected_leaves)
+      else if Batch_exec.n_spawns o <> List.length leaves then
+        fail "n_spawns %d, iterated %d" (Batch_exec.n_spawns o) (List.length leaves)
+      else if o.Batch_exec.edges_scanned <> expected_edges then
+        fail "edges_scanned: kernel %d, stepped %d" o.Batch_exec.edges_scanned expected_edges
+      else if not (Batch_exec.conserves travs o) then fail "weight not conserved"
+      else true)
 
-(* --- Fault matrix (mirrors test_faults scenarios, batching on) --- *)
-
-let fault_scenarios =
-  [
-    ("drop", { Faults.none with Faults.drop = 0.1 });
-    ("duplicate", { Faults.none with Faults.duplicate = 0.15 });
-    ("delay", { Faults.none with Faults.delay_prob = 0.3; delay = Sim_time.us 150 });
-    ("straggler", { Faults.none with Faults.slow_nodes = [ (1, 3.0) ] });
-    ( "combined",
-      {
-        Faults.none with
-        Faults.seed = 0xC0DE;
-        drop = 0.08;
-        duplicate = 0.08;
-        delay_prob = 0.1;
-        delay = Sim_time.us 250;
-        slow_nodes = [ (0, 2.0) ];
-      } );
-  ]
-
-let test_batched_survives_faults () =
-  let graph = Pstm_gen.Datasets.load Pstm_gen.Datasets.tiny in
-  let program = khop_program graph 3 in
-  let expected = show_rows (Local_engine.run graph program) in
-  List.iter
-    (fun (name, spec) ->
-      match run_async ~common:(batched_common ~faults:spec ()) graph program with
-      | report ->
-        Alcotest.(check bool) (name ^ " completes") true (Engine.all_completed report);
-        Alcotest.(check string) (name ^ " matches oracle") expected
-          (show_rows report.Engine.queries.(0).Engine.rows)
-      | exception Engine.Check_violation message ->
-        Alcotest.failf "sanitizer violation under %s faults (batched): %s" name message)
-    fault_scenarios
-
-(* --- Batch metrics on/off --- *)
-
-let test_batch_metrics_populated () =
-  let graph = Pstm_gen.Datasets.load Pstm_gen.Datasets.tiny in
-  let program = khop_program graph 3 in
-  let report = run_async graph program in
-  let m = report.Engine.metrics in
-  Alcotest.(check bool) "batches recorded" true (Metrics.batches m > 0);
-  Alcotest.(check bool) "each batch holds >= 1 traverser" true
-    (Metrics.batched_traversers m >= Metrics.batches m);
-  Alcotest.(check bool) "remote sends were coalesced" true (Metrics.coalesced_msgs m > 0);
-  Alcotest.(check int) "histogram counts every batch" (Metrics.batches m)
-    (Histogram.count (Metrics.batch_sizes m))
-
-let test_batching_off_is_scalar_path () =
-  let graph = Pstm_gen.Datasets.load Pstm_gen.Datasets.tiny in
-  let program = khop_program graph 3 in
-  let expected = show_rows (Local_engine.run graph program) in
-  let report =
-    run_async ~common:{ Engine.Common.default with Engine.Common.check = true } graph program
-  in
-  let m = report.Engine.metrics in
-  Alcotest.(check string) "rows" expected (show_rows report.Engine.queries.(0).Engine.rows);
-  Alcotest.(check int) "no batches" 0 (Metrics.batches m);
-  Alcotest.(check int) "no batched traversers" 0 (Metrics.batched_traversers m);
-  Alcotest.(check int) "no coalesced messages" 0 (Metrics.coalesced_msgs m);
-  (* Explicit off equals the default record: the flag defaults to false,
-     so existing callers are untouched. *)
-  Alcotest.(check bool) "default is unbatched" false Engine.Common.default.Engine.Common.batched
-
-let () =
-  Alcotest.run "batch"
-    [
-      ( "batched-engine",
-        [
-          qcheck batched_matches_oracle;
-          qcheck batched_deterministic;
-          Alcotest.test_case "k-hop on ldbc tiny" `Quick test_batched_khop_ldbc;
-          Alcotest.test_case "fault matrix" `Quick test_batched_survives_faults;
-          Alcotest.test_case "batch metrics populated" `Quick test_batch_metrics_populated;
-          Alcotest.test_case "batching off = scalar path" `Quick test_batching_off_is_scalar_path;
-        ] );
-    ]
+let () = Alcotest.run "batch" [ ("batch-kernel", [ qcheck kernel_matches_stepping ]) ]

@@ -161,12 +161,7 @@ let test_flight_faults_migration () =
     {
       Async_engine.default_options with
       Async_engine.partition = Partition.Adaptive;
-      adaptive =
-        {
-          Async_engine.default_adaptive with
-          Async_engine.refine_interval = Sim_time.us 5;
-          min_traffic = 16;
-        };
+      adaptive = { Async_engine.refine_interval = Sim_time.us 5; min_traffic = 16 };
     }
   in
   let obs = Recorder.create () in
