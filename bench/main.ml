@@ -5,7 +5,7 @@
    order; with an argument, runs one experiment:
 
      table1 table2 fig7 fig8 fig8l fig8sn fig9 fig10 fig11 fig12 fig13
-     plan partition repartition critpath micro
+     plan partition critpath micro
 
    All latencies are simulated milliseconds on the 8-node cluster model;
    see DESIGN.md for the hardware substitution rationale and
@@ -29,10 +29,6 @@ let experiments =
     ("fig13", "Figure 13: hardware impact", Bench_fig13.run);
     ("plan", "Figure 3 ablation: join plans", Bench_plan.run);
     ("partition", "Ablation: partition strategies", Bench_partition.run);
-    ("repartition", "Ablation: adaptive repartitioning", Bench_repartition.run);
-    ( "repartition-smoke",
-      "Smoke: cold adaptive repartitioning with the sanitizer on",
-      Bench_repartition.smoke );
     ( "critpath",
       "EXPLAIN LATENCY: critical-path attribution at 1/8/32 nodes",
       Bench_critpath.run );
@@ -101,8 +97,8 @@ let () =
     List.iter
       (fun (n, _, _) ->
         if
-          n <> "smoke" && n <> "faults" && n <> "repartition-smoke" && n <> "mc-smoke"
-          && n <> "critpath-smoke" && n <> "serve-smoke" && n <> "scale-smoke"
+          n <> "smoke" && n <> "faults" && n <> "mc-smoke" && n <> "critpath-smoke"
+          && n <> "serve-smoke" && n <> "scale-smoke"
         then
           run_one n)
       experiments

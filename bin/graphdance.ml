@@ -8,7 +8,6 @@
      why      -d DS -q "..."  run with causal tracing: EXPLAIN LATENCY attribution
      chaos    -d DS -q "..."  run under injected faults, checked against the oracle
      mc       [-m MUTANT]     explore event interleavings; conformance + mutant catching
-     repartition -d DS -q ... profile a workload, refine the owner table, compare
      ldbc     -d snb-s        run one pass of the LDBC IC/IS queries
      verify   -d DS [-q ...]  static-verify one query, or the LDBC suite
 
@@ -311,7 +310,12 @@ let why_cmd =
        Fmt.pr "%a@." Engine.pp_query q;
        let causal = Pstm_obs.Recorder.causal obs in
        match Pstm_obs.Causal.critical_path causal ~qid:0 with
-       | None -> Error "no complete causal path (query timed out or DAG truncated)"
+       | None ->
+         let dropped = Pstm_obs.Causal.dropped causal in
+         if dropped > 0 then
+           Error
+             (Fmt.str "no complete causal path: causal DAG truncated (%d nodes dropped)" dropped)
+         else Error "no complete causal path: query was not released (timed out?)"
        | Some path ->
          Fmt.pr "%a@." (fun ppf () -> Pstm_obs.Causal.pp_explain ppf causal ~qid:0) ();
          let longest =
@@ -627,112 +631,6 @@ let mc_cmd =
     Term.(
       const run $ scenario_arg $ budget_arg $ walks_arg $ seed_arg $ mutant_arg $ token_arg)
 
-let repartition_cmd =
-  let repeats_arg =
-    let doc = "How many staggered submissions of the query make up the profiled workload." in
-    Arg.(value & opt int 8 & info [ "repeats" ] ~docv:"N" ~doc)
-  in
-  let max_imbalance_arg =
-    let doc = "Per-partition vertex-count cap for refinement, as a factor of the mean." in
-    Arg.(value & opt float 1.1 & info [ "max-imbalance" ] ~docv:"F" ~doc)
-  in
-  let run dataset text nodes workers repeats max_imbalance =
-    to_exit
-      (let ( let* ) = Result.bind in
-       let* graph = load_graph dataset in
-       let* program = compile_query graph text in
-       if repeats < 1 then invalid_arg "--repeats must be at least 1";
-       let config =
-         { Cluster.default_config with Cluster.n_nodes = nodes; workers_per_node = workers }
-       in
-       let n_parts = nodes * workers in
-       let subs =
-         Array.init repeats (fun i -> Engine.submit ~at:(Sim_time.us (i * 20)) program)
-       in
-       let run_with ?common options =
-         Async_engine.run ?common ~options ~cluster_config:config
-           ~channel_config:Channel.default_config ~graph subs
-       in
-       let remote_bytes (r : Engine.report) =
-         Metrics.message_bytes r.Engine.metrics Metrics.Traverser_msg
-       in
-       (* Profile the hash baseline, refine offline, then measure the
-          refined table warm (frozen) and the online protocol cold. *)
-       let obs = Pstm_obs.Recorder.create () in
-       let hash =
-         run_with
-           ~common:(Engine.Common.with_obs obs Engine.Common.default)
-           Async_engine.default_options
-       in
-       let traffic = Pstm_obs.Recorder.traffic obs in
-       let profile =
-         Array.map
-           (fun (u, v, _count, bytes) -> (u, v, bytes))
-           (Pstm_obs.Traffic.edges traffic)
-       in
-       Fmt.pr "profiled: %d remote hop(s), %d byte(s), %d vertex pair(s)@."
-         (Pstm_obs.Traffic.total_count traffic)
-         (Pstm_obs.Traffic.total_bytes traffic)
-         (Pstm_obs.Traffic.distinct_edges traffic);
-       let assignment =
-         Partition.to_assignment
-           (Partition.create ~strategy:Partition.Hash ~n_parts
-              ~n_vertices:(Graph.n_vertices graph) ())
-       in
-       let moves, stats =
-         Repartition.refine ~max_imbalance ~max_heat_imbalance:1.5 ~n_parts ~assignment
-           profile
-       in
-       Fmt.pr
-         "refinement: cut %d -> %d of %d profiled byte(s) (%.1f%% cut reduction), %d \
-          move(s), %d pass(es), imbalance %.2f -> %.2f@."
-         stats.Repartition.cut_before stats.Repartition.cut_after
-         stats.Repartition.total_weight
-         (100.0
-         *. (1.0
-            -. float_of_int stats.Repartition.cut_after
-               /. Float.max (float_of_int stats.Repartition.cut_before) 1.0))
-         stats.Repartition.moves stats.Repartition.passes stats.Repartition.imbalance_before
-         stats.Repartition.imbalance_after;
-       let refined = Array.copy assignment in
-       List.iter (fun m -> refined.(m.Repartition.vertex) <- m.Repartition.dst) moves;
-       let adaptive partition =
-         { Async_engine.default_options with Async_engine.partition }
-       in
-       let warm =
-         run_with
-           {
-             (adaptive Partition.Adaptive) with
-             Async_engine.initial_assignment = Some refined;
-             adaptive =
-               { Async_engine.default_adaptive with Async_engine.min_traffic = max_int };
-           }
-       in
-       let cold = run_with (adaptive Partition.Adaptive) in
-       let report_line label (r : Engine.report) =
-         let m = r.Engine.metrics in
-         let bytes = remote_bytes r in
-         Fmt.pr
-           "%-15s remote traverser bytes %9d (%+.1f%% vs hash), p99 %.2fms, migrations \
-            %d, forwarded %d@."
-           label bytes
-           (100.0 *. (float_of_int bytes /. Float.max (float_of_int (remote_bytes hash)) 1.0 -. 1.0))
-           (Engine.p99_latency_ms r) (Metrics.migrations m) (Metrics.forwarded m)
-       in
-       report_line "hash:" hash;
-       report_line "adaptive-warm:" warm;
-       report_line "adaptive-cold:" cold;
-       Ok ())
-  in
-  Cmd.v
-    (Cmd.info "repartition"
-       ~doc:
-         "Profile a query workload's cross-partition traffic, refine the owner table, and \
-          compare hash vs adaptive partitioning")
-    Term.(
-      const run $ dataset_arg $ query_arg $ nodes_arg $ workers_arg $ repeats_arg
-      $ max_imbalance_arg)
-
 let ldbc_cmd =
   let per_query_arg =
     let doc = "Run each query several times with fresh parameters and print per-query mean/p99." in
@@ -908,5 +806,5 @@ let () =
        (Cmd.group info
           [
             datasets_cmd; query_cmd; explain_cmd; trace_cmd; why_cmd; chaos_cmd; mc_cmd;
-            repartition_cmd; ldbc_cmd; serve_cmd; verify_cmd;
+            ldbc_cmd; serve_cmd; verify_cmd;
           ]))

@@ -1,10 +1,9 @@
 (* Static protocol specifications and compiled conformance monitors.
 
-   PRs 3-5 grew three interacting distributed protocols — reliable channel
-   delivery, mid-query vertex migration, and the tracker lifecycle behind
-   Theorem 1's termination rule. Their correctness arguments are state-
-   machine arguments ("a sequence number is never delivered twice", "a
-   stash is drained exactly once, after install"), so this module states
+   Two interacting distributed protocols — reliable channel delivery and
+   the tracker lifecycle behind Theorem 1's termination rule — have
+   state-machine correctness arguments ("a sequence number is never
+   delivered twice", "a tracker releases exactly once"), so this module states
    each protocol as a declarative state machine and gets two artifacts out
    of one spec:
 
@@ -279,47 +278,6 @@ let channel_spec =
     emits = [ ("start", "send"); ("inflight", "retransmit"); ("delivered", "retransmit") ];
   }
 
-(* Mid-query vertex migration, one instance per migrated vertex. Mirrors
-   the async engine's adaptive path: a refinement round orders the move,
-   the old owner extracts memo entries into [P_migrate_data], racing
-   traversers stash (at the old owner) or forward until the install, and
-   the install drains the stash exactly once. *)
-let migration_spec =
-  {
-    sp_name = "migration";
-    states = [ "start"; "ordered"; "data_inflight"; "installed" ];
-    msgs = [ "order"; "extract"; "stash"; "forward"; "install" ];
-    initial = "start";
-    terminals = [ "installed" ];
-    trans =
-      [
-        ("start", "order", "ordered");
-        ("ordered", "extract", "data_inflight");
-        ("ordered", "stash", "ordered"); (* traverser raced the P_migrate *)
-        ("ordered", "forward", "ordered");
-        ("data_inflight", "stash", "data_inflight");
-        ("data_inflight", "forward", "data_inflight");
-        ("data_inflight", "install", "installed");
-        ("installed", "forward", "installed"); (* post-install routing is plain dispatch *)
-      ];
-    rejects =
-      [
-        ("start", "extract", "memo extraction for a vertex never ordered to move");
-        ("start", "stash", "stash for a vertex never ordered to move");
-        ("start", "forward", "forward for a vertex never ordered to move");
-        ("start", "install", "install for a vertex never ordered to move");
-        ("ordered", "order", "vertex ordered to migrate twice: anti-thrash rule broken");
-        ("ordered", "install", "install before the old owner extracted its entries");
-        ("data_inflight", "order", "vertex ordered to migrate twice: anti-thrash rule broken");
-        ("data_inflight", "extract", "memo entries extracted twice");
-        ("installed", "order", "vertex ordered to migrate twice: anti-thrash rule broken");
-        ("installed", "extract", "memo entries extracted after install");
-        ("installed", "stash", "stash after the install drained it: that traverser is lost");
-        ("installed", "install", "installed twice");
-      ];
-    emits = [ ("start", "order"); ("ordered", "extract") ];
-  }
-
 (* Tracker lifecycle, one instance per (query, phase). Mirrors Progress +
    the coordinator: the tracker registers at query launch, accumulates
    finished-weight receipts, completes exactly when Theorem 1's sum
@@ -366,8 +324,7 @@ let tracker_spec =
     emits = [ ("open", "receive") ];
   }
 
-let all_specs = [ channel_spec; migration_spec; tracker_spec ]
+let all_specs = [ channel_spec; tracker_spec ]
 
 let channel = lazy (compile channel_spec)
-let migration = lazy (compile migration_spec)
 let tracker = lazy (compile tracker_spec)

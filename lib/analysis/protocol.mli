@@ -71,14 +71,10 @@ val instances : monitor -> int
 (** Reliable channel delivery — one instance per (link, sequence number). *)
 val channel_spec : spec
 
-(** Mid-query vertex migration — one instance per migrated vertex. *)
-val migration_spec : spec
-
 (** Tracker lifecycle — one instance per (query, phase). *)
 val tracker_spec : spec
 
 val all_specs : spec list
 
 val channel : compiled Lazy.t
-val migration : compiled Lazy.t
 val tracker : compiled Lazy.t

@@ -52,16 +52,6 @@ let grew t =
   t.live_entries <- t.live_entries + 1;
   if t.live_entries > t.peak_entries then t.peak_entries <- t.live_entries
 
-let find_opt t ~qid ~label key =
-  t.ops <- t.ops + 1;
-  Table.find_opt (table t ~qid) (label, key)
-
-let set t ~qid ~label key entry =
-  t.ops <- t.ops + 1;
-  let table = table t ~qid in
-  if not (Table.mem table (label, key)) then grew t;
-  Table.replace table (label, key) entry
-
 (* Test-and-set for deduplication: true iff the key was absent. *)
 let add_if_absent t ~qid ~label key =
   t.ops <- t.ops + 1;
@@ -129,44 +119,6 @@ let rows_get t ~qid ~label key =
   | Some (Rows rows) -> rows
   | Some _ -> invalid_arg "Memo.rows_get: label holds a non-rows entry"
   | None -> []
-
-(* Wire size of an entry, for costing migration messages. *)
-let entry_bytes = function
-  | Scalar v -> 16 + Value.bytes v
-  | Partial p -> 16 + Aggregate.bytes p
-  | Rows rows ->
-    List.fold_left
-      (fun acc row -> acc + 8 + Array.fold_left (fun a v -> a + Value.bytes v) 0 row)
-      16 rows
-
-(* Remove and return every record keyed by [key] — any label, any query —
-   for re-homing when the key's vertex migrates to another partition.
-   Aggregate partials are keyed by Value.Null, so they never match a
-   vertex key and stay put (they are pulled from all workers anyway).
-   Output is sorted by (qid, label): the order entries serialize into a
-   migration message must not depend on hash-bucket layout. *)
-let extract_for_key t key =
-  (* det-ok: the qids are sorted right below *)
-  let qids = Hashtbl.fold (fun qid _ acc -> qid :: acc) t.queries [] in
-  let qids = List.sort Int.compare qids in
-  List.concat_map
-    (fun qid ->
-      let table = Hashtbl.find t.queries qid in
-      let matches =
-        Table.fold
-          (fun (label, k) entry acc ->
-            if Value.equal k key then (label, entry) :: acc else acc)
-          table []
-      in
-      let matches = List.sort (fun (l1, _) (l2, _) -> Int.compare l1 l2) matches in
-      t.ops <- t.ops + 1 + List.length matches;
-      List.iter
-        (fun (label, _) ->
-          Table.remove table (label, key);
-          t.live_entries <- t.live_entries - 1)
-        matches;
-      List.map (fun (label, entry) -> (qid, label, entry)) matches)
-    qids
 
 (* Drop a terminated query's records (automatic clearing of §III-B). *)
 let clear_query t qid =

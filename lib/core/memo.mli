@@ -4,11 +4,6 @@
     terminates. Only the owning worker accesses a memo, so operations are
     synchronization-free. *)
 
-type entry =
-  | Scalar of Value.t
-  | Partial of Aggregate.t
-  | Rows of Value.t array list
-
 type t
 
 val create : unit -> t
@@ -18,8 +13,6 @@ val ops : t -> int
 
 val peak_entries : t -> int
 val live_entries : t -> int
-val find_opt : t -> qid:int -> label:int -> Value.t -> entry option
-val set : t -> qid:int -> label:int -> Value.t -> entry -> unit
 
 (** Deduplication test-and-set: [true] iff the key was absent. *)
 val add_if_absent : t -> qid:int -> label:int -> Value.t -> bool
@@ -41,15 +34,6 @@ val partial_opt : t -> qid:int -> label:int -> Aggregate.t option
 val rows_add : t -> qid:int -> label:int -> Value.t -> Value.t array -> unit
 
 val rows_get : t -> qid:int -> label:int -> Value.t -> Value.t array list
-
-(** Wire size of an entry, for costing migration messages. *)
-val entry_bytes : entry -> int
-
-(** Remove and return every record keyed by [key] (any label, any query),
-    as [(qid, label, entry)] sorted by (qid, label) — the re-homing side
-    of vertex migration. Aggregate partials (keyed by [Value.Null]) never
-    match a vertex key and stay put. *)
-val extract_for_key : t -> Value.t -> (int * int * entry) list
 
 (** Drop every record of a terminated query. *)
 val clear_query : t -> int -> unit

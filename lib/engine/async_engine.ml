@@ -36,37 +36,12 @@ let flavor_name = function
   | Banyan_like -> "banyan-like"
   | Gaia_like -> "gaia-like"
 
-(* Online repartitioning knobs, consulted when [partition = Adaptive].
-   Rounds trigger lazily off the remote-dispatch path: once at least
-   [min_traffic] remote hops have been profiled since the last round and
-   [refine_interval] has elapsed, the directory refines the owner table
-   and the moved vertices migrate (memo entries ride the channel as
-   costed messages; see the migration payloads below). *)
-type adaptive_options = {
-  refine_interval : Sim_time.t; (* min sim-time between refinement rounds *)
-  min_traffic : int; (* profiled remote hops before a round may trigger *)
-}
-
-(* A round needs a substantial fresh profile before it may fire:
-   refining on a few hundred early observations chases noise — thousands
-   of vertices migrate toward a local optimum of a sample that does not
-   resemble the workload, and the next round drags them back. *)
-let default_adaptive = { refine_interval = Sim_time.us 50; min_traffic = 4096 }
-
-(* Caps of every refinement round: per-partition size at most 1.1x the
-   mean, profiled traffic at most 1.5x the mean, 1024 vertex moves. *)
-let refine_max_imbalance = 1.1
-let refine_max_heat_imbalance = 1.5
-let refine_max_moves = 1024
-
 type options = {
   flavor : flavor;
   weight_coalescing : bool;
   shared_state : bool;
   memory_capacity : int option; (* per-node memory, for the single-node study *)
   partition : Partition.strategy; (* the H of the partitioned graph model *)
-  adaptive : adaptive_options; (* online repartitioning (Adaptive only) *)
-  initial_assignment : int array option; (* warm-start owner table (Adaptive only) *)
 }
 
 (* Tasks per worker scheduling quantum. *)
@@ -82,8 +57,6 @@ let default_options =
     shared_state = false;
     memory_capacity = None;
     partition = Partition.Hash;
-    adaptive = default_adaptive;
-    initial_assignment = None;
   }
 
 (* Every payload that can sit on a query's causal chain carries a causal
@@ -101,11 +74,6 @@ type payload =
   | P_cleanup of { qid : int }
   | P_setup of { qid : int; mutable cz : int } (* dataflow flavors: instantiate operators *)
   | P_setup_ack of { qid : int; mutable cz : int }
-  (* Vertex migration (adaptive repartitioning). The order goes to the
-     old owner, which extracts the vertex's memo entries and ships them
-     to the new owner as one costed data message. *)
-  | P_migrate of { vertex : int; dst : int; mutable cz : int }
-  | P_migrate_data of { vertex : int; entries : (int * int * Memo.entry) list; mutable cz : int }
 
 let payload_bytes = function
   | P_trav { trav; _ } -> 8 + Traverser.bytes trav
@@ -115,9 +83,6 @@ let payload_bytes = function
     16 + (match partial with None -> 0 | Some p -> Aggregate.bytes p)
   | P_cleanup _ -> 8
   | P_setup _ | P_setup_ack _ -> 16
-  | P_migrate _ -> 16
-  | P_migrate_data { entries; _ } ->
-    List.fold_left (fun acc (_, _, e) -> acc + 16 + Memo.entry_bytes e) 16 entries
 
 type query_state = {
   qid : int;
@@ -202,15 +167,14 @@ let create ?(options = default_options) ?(common = Engine.Common.default) ~clust
   in
   (* Protocol conformance monitors: compiled from the declarative state
      machines in [Pstm_analysis.Protocol] and fed from the channel's
-     protocol hook (reliable delivery), the migration path and the
-     tracker lifecycle. They exist only under [check]; otherwise every
-     hook stays [None] and the production path is untouched. *)
-  let mon_channel, mon_migration, mon_tracker =
+     protocol hook (reliable delivery) and the tracker lifecycle. They
+     exist only under [check]; otherwise every hook stays [None] and the
+     production path is untouched. *)
+  let mon_channel, mon_tracker =
     if check then
       ( Some (Protocol.monitor (Lazy.force Protocol.channel)),
-        Some (Protocol.monitor (Lazy.force Protocol.migration)),
         Some (Protocol.monitor (Lazy.force Protocol.tracker)) )
-    else (None, None, None)
+    else (None, None)
   in
   (match mon_channel with
   | None -> ()
@@ -246,17 +210,6 @@ let create ?(options = default_options) ?(common = Engine.Common.default) ~clust
            | Some why ->
              Engine.check_fail "async: link %d->%d seq %d: %s" ev.Cluster.ev_src
                ev.Cluster.ev_dst ev.Cluster.ev_seq why)));
-  let mig_event name vertex =
-    match mon_migration with
-    | None -> ()
-    | Some mon -> begin
-      match
-        Protocol.step mon ~key:vertex ~msg:(Protocol.msg (Lazy.force Protocol.migration) name)
-      with
-      | None -> ()
-      | Some why -> Engine.check_fail "async: migration of vertex %d: %s" vertex why
-    end
-  in
   let tracker_event name ~qid ~phase =
     match mon_tracker with
     | None -> ()
@@ -307,10 +260,9 @@ let create ?(options = default_options) ?(common = Engine.Common.default) ~clust
                ]
              ()));
   let workers_per_node = cluster_config.Cluster.workers_per_node in
-  let adaptive_on = options.partition = Partition.Adaptive in
   let partition =
-    Partition.create ~strategy:options.partition ?assignment:options.initial_assignment
-      ~n_parts:n_workers ~n_vertices:(Graph.n_vertices graph) ()
+    Partition.create ~strategy:options.partition ~n_parts:n_workers
+      ~n_vertices:(Graph.n_vertices graph) ()
   in
   let seed_prng = Prng.create common.Engine.Common.seed in
   (* Node-shared memos for the non-partitioned ablation. *)
@@ -331,13 +283,7 @@ let create ?(options = default_options) ?(common = Engine.Common.default) ~clust
           cz_last = -1;
           cz_last_qid = -1;
           cz_coalesce = Hashtbl.create 4;
-          members =
-            (* Under adaptive repartitioning the owner table mutates at
-               runtime; Scan sources partition the vertex set by the
-               launch-time assignment, so membership is frozen eagerly
-               (each vertex scanned exactly once no matter what moves). *)
-            (if adaptive_on then Lazy.from_val (Partition.members partition id)
-             else lazy (Partition.members partition id));
+          members = lazy (Partition.members partition id);
         })
   in
   (* Flight-recorder series handles, resolved once (lookup is linear). *)
@@ -360,26 +306,6 @@ let create ?(options = default_options) ?(common = Engine.Common.default) ~clust
   (* Queries concurrently resident (launched, not yet completed): the
      contention axis of the non-partitioned ablation's latch model. *)
   let n_active = ref 0 in
-  (* --- Adaptive repartitioning state ----------------------------------- *)
-  (* Two traffic sinks: the observability recorder's (export only, on
-     whenever tracing is) and the engine's own profile feeding online
-     refinement (on only under Adaptive). Both count remote dispatches
-     keyed by the (parent vertex, routing vertex) pair. *)
-  let obs_traffic = Pstm_obs.Recorder.traffic obs in
-  let traffic_on = Pstm_obs.Traffic.enabled obs_traffic in
-  let profile =
-    if adaptive_on then Pstm_obs.Traffic.create () else Pstm_obs.Traffic.disabled
-  in
-  (* Vertices whose memo entries are in flight to their new owner; the
-     stash parks traversers that arrive at the new owner early. *)
-  let migrating : (int, payload list ref) Hashtbl.t = Hashtbl.create 64 in
-  (* Each vertex migrates at most once per run: successive rounds refine
-     against an evolving profile, and letting them re-home the same
-     vertices chases every intermediate local optimum — the migration
-     and forwarding churn costs more than the cut it recovers. *)
-  let migrated_ever : (int, unit) Hashtbl.t = Hashtbl.create 64 in
-  let next_round = ref Sim_time.zero in
-  let profiled_at_round = ref 0 in
   (* Route a traverser about to execute its step (the h_psi of §III-A).
      The answer is one int, so the dispatch path allocates nothing: a
      non-negative result is the vertex whose owner receives the
@@ -404,28 +330,6 @@ let create ?(options = default_options) ?(common = Engine.Common.default) ~clust
         | Value.Vertex v -> v
         | v -> -1 - (Value.hash v mod n_workers)
       end
-    end
-  in
-  (* The vertex whose memo entries this traverser's step reads or
-     writes, if any. Only Dedup / Visit / Join key memo records by a
-     value — when that value is a vertex, migration re-homes the
-     records, so stale arrivals must chase the new owner and early
-     arrivals must wait for the entries. Stateless steps (Expand,
-     Filter, ...) execute wherever they land; a stale arrival there is
-     only a locality miss, never a correctness hazard. *)
-  let stateful_key_vertex q (trav : Traverser.t) =
-    if options.flavor = Gaia_like then None
-    else begin
-      match (Program.step q.program trav.Traverser.step).Step.op with
-      | Step.Visit _ -> Some trav.Traverser.vertex
-      | Step.Dedup { by } | Step.Join { key = by; _ } -> begin
-        match
-          Step.eval_expr graph ~vertex:trav.Traverser.vertex ~regs:trav.Traverser.regs by
-        with
-        | Value.Vertex v -> Some v
-        | _ -> None
-      end
-      | _ -> None
     end
   in
   (* --- Cost model ----------------------------------------------------- *)
@@ -505,9 +409,6 @@ let create ?(options = default_options) ?(common = Engine.Common.default) ~clust
     | P_agg_partial ({ qid; _ } as r) -> r.cz <- arrive ~qid ~name:"arrive-partial" r.cz
     | P_setup ({ qid; _ } as r) -> r.cz <- arrive ~qid ~name:"arrive-setup" r.cz
     | P_setup_ack ({ qid; _ } as r) -> r.cz <- arrive ~qid ~name:"arrive-ack" r.cz
-    | P_migrate ({ vertex = _; _ } as r) -> r.cz <- arrive ~qid:(-1) ~name:"arrive-migrate" r.cz
-    | P_migrate_data ({ vertex = _; _ } as r) ->
-      r.cz <- arrive ~qid:(-1) ~name:"arrive-mdata" r.cz
     | P_cleanup _ -> ()
   in
   let rec wake w =
@@ -537,7 +438,7 @@ let create ?(options = default_options) ?(common = Engine.Common.default) ~clust
     else
       Channel.send (channel ()) ~at ~src_worker:src ~dst_worker:dst ~kind
         ~bytes:(payload_bytes payload) payload
-  and dispatch_trav ~at ~src ?src_vertex ?(cz = -1) q trav =
+  and dispatch_trav ~at ~src ?(cz = -1) q trav =
     if obs_on then incr inflight;
     let target = route q trav in
     let dst = if target >= 0 then Partition.owner partition target else -1 - target in
@@ -547,65 +448,7 @@ let create ?(options = default_options) ?(common = Engine.Common.default) ~clust
       | Step.Emit _ -> Metrics.Result_msg
       | _ -> Metrics.Traverser_msg
     in
-    let cost = send ~at ~src ~dst ~kind (P_trav { qid = q.qid; trav; cz }) in
-    (* Traffic profiling: every remote dispatch whose target is decided
-       by a vertex's owner is an edge of the workload's communication
-       graph — the signal the adaptive repartitioner minimizes. *)
-    match src_vertex with
-    | Some u when (traffic_on || adaptive_on) && dst <> src && target >= 0 ->
-      let bytes = 8 + Traverser.bytes trav in
-      Pstm_obs.Traffic.record obs_traffic ~src:u ~dst:target ~bytes;
-      Pstm_obs.Traffic.record profile ~src:u ~dst:target ~bytes;
-      if adaptive_on then Sim_time.add cost (maybe_adapt ~at ~src ~cz ()) else cost
-    | _ -> cost
-  (* Refinement round, triggered lazily off the remote-dispatch path once
-     enough fresh traffic has been profiled and the interval elapsed.
-     Refinement itself runs on the partition directory off the critical
-     path (uncosted); what is costed is the migration itself — the order
-     to each old owner and the memo-entry data message it sends on. The
-     owner table flips immediately: traversers already in flight toward
-     the old owner get forwarded on arrival, and arrivals at the new
-     owner park until the entries land, so no memo state is ever read
-     half-moved and Theorem 1's weight conservation is untouched. *)
-  and maybe_adapt ~at ~src ?(cz = -1) () =
-    let ao = options.adaptive in
-    if
-      Pstm_obs.Traffic.total_count profile - !profiled_at_round >= ao.min_traffic
-      && Sim_time.compare at !next_round >= 0
-    then begin
-      next_round := Sim_time.add at ao.refine_interval;
-      profiled_at_round := Pstm_obs.Traffic.total_count profile;
-      let edges =
-        Array.map (fun (u, v, _count, bytes) -> (u, v, bytes)) (Pstm_obs.Traffic.edges profile)
-      in
-      let assignment = Partition.to_assignment partition in
-      let moves, _stats =
-        Repartition.refine ~max_imbalance:refine_max_imbalance
-          ~max_heat_imbalance:refine_max_heat_imbalance ~max_moves:refine_max_moves
-          ~n_parts:n_workers ~assignment edges
-      in
-      let cost = ref Sim_time.zero in
-      List.iter
-        (fun { Repartition.vertex; src = old_owner; dst = new_owner } ->
-          (* A vertex whose previous migration is still in flight stays
-             put this round: its entries are not at the "old owner" the
-             refiner sees, so a second hop now would lose them. *)
-          if not (Hashtbl.mem migrating vertex) && not (Hashtbl.mem migrated_ever vertex)
-          then begin
-            Hashtbl.add migrated_ever vertex ();
-            Partition.set_owner partition vertex new_owner;
-            Hashtbl.add migrating vertex (ref []);
-            mig_event "order" vertex;
-            Metrics.count_migration metrics;
-            cost :=
-              Sim_time.add !cost
-                (send ~at ~src ~dst:old_owner ~kind:Metrics.Control_msg
-                   (P_migrate { vertex; dst = new_owner; cz }))
-          end)
-        moves;
-      !cost
-    end
-    else Sim_time.zero
+    send ~at ~src ~dst ~kind (P_trav { qid = q.qid; trav; cz })
   (* ---- Progress tracking ---------------------------------------------- *)
   and tracker_receive ~at ?(cz = -1) w q phase weight =
     Metrics.count_tracker_update metrics;
@@ -790,36 +633,7 @@ let create ?(options = default_options) ?(common = Engine.Common.default) ~clust
       match Hashtbl.find_opt queries qid with
       | None -> Sim_time.zero
       | Some q when not q.active -> Sim_time.zero
-      | Some q -> begin
-        match (if adaptive_on then stateful_key_vertex q trav else None) with
-        | Some v when Partition.owner partition v <> w.id ->
-          (* The vertex migrated while this traverser was in flight:
-             chase the new owner. The traverser is forwarded wholesale,
-             so its progression weight is conserved bit for bit. *)
-          Metrics.count_forwarded metrics;
-          mig_event "forward" v;
-          if obs_on then incr inflight;
-          let cz =
-            if not cz_on then -1
-            else begin
-              let f = Pstm_obs.Causal.node causal ~qid ~name:"forward" ~ts:at in
-              Pstm_obs.Causal.edge causal ~src:cz ~dst:f Pstm_obs.Causal.Queue;
-              f
-            end
-          in
-          send ~at ~src:w.id ~dst:(Partition.owner partition v) ~kind:Metrics.Traverser_msg
-            (P_trav { qid; trav; cz })
-        | Some v when Hashtbl.mem migrating v ->
-          (* We are the new owner but the memo entries are still in
-             flight: park the traverser until P_migrate_data lands, so
-             dedup / visit / join state is never consulted half-moved.
-             The context parks with it; the stash wait reads as Queue. *)
-          Metrics.count_stashed metrics;
-          mig_event "stash" v;
-          let stash = Hashtbl.find migrating v in
-          stash := P_trav { qid; trav; cz } :: !stash;
-          Sim_time.zero
-        | _ ->
+      | Some q ->
         if obs_on && Bitset.add_if_absent q.touched w.id then
           Pstm_obs.Trace.instant trace ~tid:(Engine.query_track qid) ~name:"first_touch" ~ts:at
             ~args:[ ("worker", Pstm_obs.Trace.I w.id) ]
@@ -872,10 +686,7 @@ let create ?(options = default_options) ?(common = Engine.Common.default) ~clust
         List.iter
           (fun child ->
             Metrics.count_spawn metrics;
-            cost :=
-              Sim_time.add !cost
-                (dispatch_trav ~at ~src:w.id ~src_vertex:trav.Traverser.vertex ~cz:cz_exec q
-                   child))
+            cost := Sim_time.add !cost (dispatch_trav ~at ~src:w.id ~cz:cz_exec q child))
           outcome.Exec.spawns;
         (* Rows are only produced by Emit, which routes to the coordinator
            first — so they land here, at the coordinator itself. *)
@@ -901,7 +712,6 @@ let create ?(options = default_options) ?(common = Engine.Common.default) ~clust
             ~args:[ ("qid", Pstm_obs.Trace.I qid); ("step", Pstm_obs.Trace.I trav.Traverser.step) ]
             ();
         !cost
-      end
     end
     | P_progress { qid; phase; weight; cz } -> begin
       match Hashtbl.find_opt queries qid with
@@ -1023,63 +833,6 @@ let create ?(options = default_options) ?(common = Engine.Common.default) ~clust
         end
         else costs.Cluster.operator_sched
     end
-    | P_migrate { vertex; dst; cz } ->
-      (* Old owner: pull the vertex's records out of the local memo (all
-         queries, deterministic order) and ship them as one costed data
-         message. Any traverser for the vertex still queued behind this
-         order re-routes on arrival via the forwarding path above. *)
-      let entries = Memo.extract_for_key w.memo (Value.Vertex vertex) in
-      mig_event "extract" vertex;
-      Metrics.count_migrated_entries metrics (List.length entries);
-      let cz =
-        if not cz_on then -1
-        else begin
-          let e = Pstm_obs.Causal.node causal ~qid:(-1) ~name:"migrate-extract" ~ts:at in
-          Pstm_obs.Causal.edge causal ~src:cz ~dst:e Pstm_obs.Causal.Queue;
-          e
-        end
-      in
-      Sim_time.add
-        (memo_op_cost () * (1 + List.length entries))
-        (send ~at ~src:w.id ~dst ~kind:Metrics.Control_msg
-           (P_migrate_data { vertex; entries; cz }))
-    | P_migrate_data { vertex; entries; cz } ->
-      (* New owner: install the records — entries of queries that
-         completed while the message was in flight are dropped (their
-         cleanup broadcast already passed) — then release any parked
-         traversers in arrival order. *)
-      List.iter
-        (fun (qid, label, entry) ->
-          match Hashtbl.find_opt queries qid with
-          | Some q when q.active -> Memo.set w.memo ~qid ~label (Value.Vertex vertex) entry
-          | Some _ | None -> ())
-        entries;
-      mig_event "install" vertex;
-      (match Hashtbl.find_opt migrating vertex with
-      | Some stash ->
-        Hashtbl.remove migrating vertex;
-        if mutation <> Some Mutation.Drop_stash_drain then
-          List.iter
-            (fun p ->
-              if obs_on then incr inflight;
-              (* Each parked traverser resumes through a drain node. The
-                 install context comes in first (for DAG completeness);
-                 the traverser's own parked context binds last, so the
-                 walk stays within its query and the whole stash wait
-                 reads as Queue. *)
-              (if cz_on then begin
-                 match p with
-                 | P_trav ({ qid; _ } as r) when r.cz >= 0 ->
-                   let d = Pstm_obs.Causal.node causal ~qid ~name:"stash-drain" ~ts:at in
-                   Pstm_obs.Causal.edge causal ~src:cz ~dst:d Pstm_obs.Causal.Queue;
-                   Pstm_obs.Causal.edge causal ~src:r.cz ~dst:d Pstm_obs.Causal.Queue;
-                   r.cz <- d
-                 | _ -> ()
-               end);
-              Queue.add p w.tasks)
-            (List.rev !stash)
-      | None -> ());
-      memo_op_cost () * (1 + List.length entries)
   (* ---- Worker scheduling loop ------------------------------------------- *)
   and launch_entries ~at ?(cz = -1) q =
     let entries = Program.entries q.program in
@@ -1355,7 +1108,7 @@ let create ?(options = default_options) ?(common = Engine.Common.default) ~clust
               qid
         done;
         (* Every protocol-monitor instance must have reached a terminal
-           state: packets acked, migrations installed, trackers released. *)
+           state: packets acked, trackers released. *)
         List.iter
           (fun mon ->
             match mon with
@@ -1365,7 +1118,7 @@ let create ?(options = default_options) ?(common = Engine.Common.default) ~clust
               | None -> ()
               | Some why -> Engine.check_fail "async: %s" why
             end)
-          [ mon_channel; mon_migration; mon_tracker ];
+          [ mon_channel; mon_tracker ];
         (* No weight may be left unflushed and no causal bookkeeping
            may outlive its query: parked state here means some
            (qid, phase) escaped both the flush path and the scoped

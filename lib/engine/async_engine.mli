@@ -14,20 +14,6 @@ type flavor =
 
 val flavor_name : flavor -> string
 
-(** Knobs of the online repartitioner (only read when
-    [partition = Partition.Adaptive]). Refinement rounds are triggered
-    lazily from the remote-dispatch path: a round fires when at least
-    [min_traffic] cross-partition traversals have been profiled since the
-    last round and [refine_interval] simulated time has elapsed. Every
-    round keeps each partition within 1.1x the mean vertex count and
-    1.5x the mean profiled traffic, and moves at most 1024 vertices. *)
-type adaptive_options = {
-  refine_interval : Sim_time.t;  (** minimum spacing between refinement rounds *)
-  min_traffic : int;  (** fresh profiled traversals needed to consider a round *)
-}
-
-val default_adaptive : adaptive_options
-
 type options = {
   flavor : flavor;
   weight_coalescing : bool;
@@ -36,11 +22,6 @@ type options = {
       (** per-node memory budget; a graph exceeding the cluster total
           makes every data access 60x slower (the single-node study) *)
   partition : Partition.strategy; (** the H of the partitioned graph model *)
-  adaptive : adaptive_options;
-      (** online-repartitioning knobs, read only under [Partition.Adaptive] *)
-  initial_assignment : int array option;
-      (** warm-start vertex→partition map for [Partition.Adaptive] (e.g. a
-          refinement computed offline from a profiled run) *)
 }
 
 val default_options : options

@@ -3,27 +3,18 @@
    One partition per worker; the PSTM engines route every traverser to the
    worker owning its current vertex. Hash partitioning is the paper's
    choice; block partitioning is kept as an ablation (it concentrates BFS
-   frontiers on few workers and exposes the straggler effect even more).
-
-   [Adaptive] keeps an explicit per-vertex assignment table (seeded from
-   the same hash) that the engine may rewrite at runtime: the adaptive
-   repartitioner moves vertices toward the partitions they exchange the
-   most traversal traffic with (Loom-style), so H becomes a function of
-   the observed workload instead of the vertex id alone. *)
+   frontiers on few workers and exposes the straggler effect even more). *)
 
 type strategy =
   | Hash (* owner v = mix(v) mod n_parts; spreads hubs and frontiers *)
   | Mod (* owner v = v mod n_parts; kept as an ablation (hub clustering) *)
   | Block (* owner v = v / ceil(n/n_parts); contiguous ranges *)
-  | Adaptive (* explicit assignment table, rewritable at runtime *)
 
 type t = {
   strategy : strategy;
   n_parts : int;
   n_vertices : int;
   block_size : int;
-  assignment : int array; (* per-vertex owner; only populated for Adaptive *)
-  sizes : int array; (* per-partition vertex count; only for Adaptive *)
 }
 
 (* Fibonacci-style multiplicative mixer: cheap and avalanching enough to
@@ -32,32 +23,11 @@ let mix v =
   let h = v * 0x9E3779B97F4A7C1 in
   (h lxor (h lsr 29)) land max_int
 
-let create ?(strategy = Hash) ?assignment ~n_parts ~n_vertices () =
+let create ?(strategy = Hash) ~n_parts ~n_vertices () =
   if n_parts <= 0 then invalid_arg "Partition.create: n_parts must be positive";
   if n_vertices < 0 then invalid_arg "Partition.create: negative n_vertices";
   let block_size = max 1 ((n_vertices + n_parts - 1) / n_parts) in
-  let assignment, sizes =
-    match strategy with
-    | Hash | Mod | Block ->
-      if assignment <> None then
-        invalid_arg "Partition.create: explicit assignment requires the Adaptive strategy";
-      ([||], [||])
-    | Adaptive ->
-      let assignment =
-        match assignment with
-        | None -> Array.init n_vertices (fun v -> mix v mod n_parts)
-        | Some a ->
-          if Array.length a <> n_vertices then
-            invalid_arg "Partition.create: assignment length must equal n_vertices";
-          if not (Array.for_all (fun p -> p >= 0 && p < n_parts) a) then
-            invalid_arg "Partition.create: assignment entry out of range";
-          Array.copy a
-      in
-      let sizes = Array.make n_parts 0 in
-      Array.iter (fun p -> sizes.(p) <- sizes.(p) + 1) assignment;
-      (assignment, sizes)
-  in
-  { strategy; n_parts; n_vertices; block_size; assignment; sizes }
+  { strategy; n_parts; n_vertices; block_size }
 
 let n_parts t = t.n_parts
 
@@ -66,22 +36,6 @@ let owner t v =
   | Hash -> mix v mod t.n_parts
   | Mod -> v mod t.n_parts
   | Block -> min (t.n_parts - 1) (v / t.block_size)
-  | Adaptive -> t.assignment.(v)
-
-(* Rewrite a vertex's owner (adaptive repartitioning only). Size counters
-   track the move so [imbalance] stays O(n_parts). *)
-let set_owner t v p =
-  if t.strategy <> Adaptive then invalid_arg "Partition.set_owner: strategy is not Adaptive";
-  if p < 0 || p >= t.n_parts then invalid_arg "Partition.set_owner: bad partition";
-  let old = t.assignment.(v) in
-  if old <> p then begin
-    t.assignment.(v) <- p;
-    t.sizes.(old) <- t.sizes.(old) - 1;
-    t.sizes.(p) <- t.sizes.(p) + 1
-  end
-
-(* Current owner table as a plain array (a copy, safe to mutate). *)
-let to_assignment t = Array.init t.n_vertices (owner t)
 
 (* Vertices owned by partition [p], in ascending order. *)
 let members t p =
@@ -104,19 +58,8 @@ let members t p =
     let hi = if p = t.n_parts - 1 then t.n_vertices else hi in
     for v = lo to hi - 1 do
       Vec.push out v
-    done
-  | Adaptive ->
-    for v = 0 to t.n_vertices - 1 do
-      if t.assignment.(v) = p then Vec.push out v
     done);
   Vec.to_array out
-
-let size_of t p =
-  match t.strategy with
-  | Adaptive ->
-    if p < 0 || p >= t.n_parts then invalid_arg "Partition.size_of: bad partition";
-    t.sizes.(p)
-  | Hash | Mod | Block -> Array.length (members t p)
 
 (* Max-over-mean partition size: 1.0 is perfectly balanced. With no
    vertices — or more partitions than vertices, where the mean drops
@@ -126,7 +69,7 @@ let size_of t p =
 let imbalance t =
   if t.n_vertices = 0 || t.n_parts > t.n_vertices then 1.0
   else begin
-    let sizes = Array.init t.n_parts (size_of t) in
+    let sizes = Array.init t.n_parts (fun p -> Array.length (members t p)) in
     let max_size = Array.fold_left max 0 sizes in
     float_of_int (max_size * t.n_parts) /. float_of_int t.n_vertices
   end

@@ -5,31 +5,17 @@ type strategy =
   | Hash (** mixed hash of the id — the paper's scheme *)
   | Mod (** [v mod n_parts] — ablation; clusters generator hubs *)
   | Block (** contiguous ranges — ablation *)
-  | Adaptive (** explicit per-vertex table, rewritable at runtime *)
 
 type t
 
-(** [assignment] seeds the explicit table of an [Adaptive] partition (it
-    is copied); omitted, Adaptive starts from the Hash placement. Passing
-    it with a static strategy is an error. *)
-val create :
-  ?strategy:strategy -> ?assignment:int array -> n_parts:int -> n_vertices:int -> unit -> t
-
+val create : ?strategy:strategy -> n_parts:int -> n_vertices:int -> unit -> t
 val n_parts : t -> int
 
 (** Owning partition of a vertex. *)
 val owner : t -> int -> int
 
-(** Rewrite a vertex's owner. Only valid on [Adaptive] partitions. *)
-val set_owner : t -> int -> int -> unit
-
-(** Snapshot of the current owner table (a fresh array). *)
-val to_assignment : t -> int array
-
 (** Vertices owned by a partition, ascending. *)
 val members : t -> int -> int array
-
-val size_of : t -> int -> int
 
 (** Max partition size over mean size; 1.0 is perfect balance. Defined as
     1.0 when there are no vertices or more partitions than vertices. *)

@@ -4,8 +4,7 @@
    millisecond of wall clock — the explorer runs dozens to hundreds of
    them — yet still exercises the protocol machinery its mutants corrupt:
    the chaos scenario's drop/duplicate faults force retransmission and
-   dedup traffic, the migration scenario's aggressive refine interval
-   forces mid-query vertex moves with stashed traversers.
+   dedup traffic.
 
    The graph, compiled programs and oracle rows are computed lazily once
    per scenario and shared across schedules: engines treat the graph as
@@ -21,7 +20,6 @@ type scenario = {
   sc_describe : string;
   sc_cluster : Cluster.config;
   sc_faults : Faults.spec option;
-  sc_options : Async_engine.options;
   sc_graph : Graph.t Lazy.t;
   sc_subs : Engine.submission array Lazy.t;
   sc_oracle : string array Lazy.t; (* expected sorted rows, per query *)
@@ -60,13 +58,12 @@ let oracle_of graph subs =
          show_rows (Local_engine.run (Lazy.force graph) s.Engine.program))
        (Lazy.force subs))
 
-let make ~name ~describe ?faults ?(options = Async_engine.default_options) ~cluster subs =
+let make ~name ~describe ?faults ~cluster subs =
   {
     sc_name = name;
     sc_describe = describe;
     sc_cluster = cluster;
     sc_faults = faults;
-    sc_options = options;
     sc_graph = tiny;
     sc_subs = subs;
     sc_oracle = oracle_of tiny subs;
@@ -94,38 +91,13 @@ let chaos_scenario =
       }
     (lazy [| Engine.submit (khop (Lazy.force tiny) ~start:1 ~hops:3) |])
 
-let migration_cluster = { Cluster.default_config with Cluster.n_nodes = 2; workers_per_node = 4 }
-
-(* Aggressive knobs so refinement rounds fire mid-query on the tiny
-   workload (mirrors the repartition chaos suite). *)
-let aggressive_adaptive =
-  {
-    Async_engine.default_options with
-    Async_engine.partition = Partition.Adaptive;
-    adaptive = { Async_engine.refine_interval = Sim_time.us 5; min_traffic = 16 };
-  }
-
-let migration_scenario =
-  let starts = [| 1; 2; 3; 5 |] in
-  let waves = 3 in
-  make ~name:"migration"
-    ~describe:"k-hop waves under aggressive adaptive repartitioning (mid-query vertex moves)"
-    ~cluster:migration_cluster ~options:aggressive_adaptive
-    (lazy
-      (Array.init
-         (waves * Array.length starts)
-         (fun i ->
-           Engine.submit ~at:(Sim_time.us (i * 10))
-             (khop (Lazy.force tiny) ~start:starts.(i mod Array.length starts) ~hops:2))))
-
-let scenarios = [ khop_scenario; chaos_scenario; migration_scenario ]
+let scenarios = [ khop_scenario; chaos_scenario ]
 let default = khop_scenario
 
 let find n = List.find_opt (fun s -> String.equal s.sc_name n) scenarios
 
 let for_mutation = function
   | Mutation.Skip_dedup | Mutation.No_retransmit -> chaos_scenario
-  | Mutation.Drop_stash_drain -> migration_scenario
   | Mutation.Early_tracker_release -> khop_scenario
 
 (* --- Runners ------------------------------------------------------------- *)
@@ -165,7 +137,7 @@ let judge s (report : Engine.report) =
 let runner ?mutation s : Explore.runner =
  fun chooser ->
   match
-    Async_engine.run ~options:s.sc_options
+    Async_engine.run
       ~common:(common ?mutation s chooser)
       ~cluster_config:s.sc_cluster ~channel_config:Channel.default_config
       ~graph:(Lazy.force s.sc_graph) (Lazy.force s.sc_subs)

@@ -1,10 +1,10 @@
 (** Model-checking harness: canonical engine workloads wired to
     {!Pstm_analysis.Explore}.
 
-    A {!scenario} packages a cluster shape, a fault plane, engine options
-    and a submission batch together with the sequential oracle's expected
-    rows. {!runner} turns one into the [Explore.runner] the schedule
-    explorer drives: each schedule runs the async engine under
+    A {!scenario} packages a cluster shape, a fault plane and a
+    submission batch together with the sequential oracle's expected rows.
+    {!runner} turns one into the [Explore.runner] the schedule explorer
+    drives: each schedule runs the async engine under
     [~check:true] (sanitizers + protocol monitors live), then the harness
     additionally asserts termination and oracle-equal rows. The optional
     [mutation] seeds a protocol mutant ({!Pstm_sim.Mutation}) so tests and
@@ -21,8 +21,7 @@ val find : string -> scenario option
 val default : scenario
 
 (** The scenario whose workload provokes the given mutant's protocol
-    machinery (dedup/retransmit need faults, stash draining needs
-    migration waves, ...). *)
+    machinery (dedup and retransmit need faults). *)
 val for_mutation : Mutation.t -> scenario
 
 (** Canonical result digest: per query, name + completion status + sorted

@@ -2,12 +2,12 @@
    observability layer.
 
    Every hand-off the async engine performs (seed injection, step
-   execution, remote dispatch and delivery,
-   retransmitted delivery, migration stash-drain, aggregation barrier,
-   progress-tracker traffic, tracker release) registers a *node* (an
-   instant in sim-time) and *edges* from the events that caused it. An
-   edge [u -> v] covers exactly the interval [ts u, ts v] and carries a
-   category saying what the query was doing (or waiting on) during it.
+   execution, remote dispatch and delivery, retransmitted delivery,
+   aggregation barrier, progress-tracker traffic, tracker release)
+   registers a *node* (an instant in sim-time) and *edges* from the
+   events that caused it. An edge [u -> v] covers exactly the interval
+   [ts u, ts v] and carries a category saying what the query was doing
+   (or waiting on) during it.
 
    Critical-path extraction exploits the determinism of the simulator:
    the engine adds incoming edges so that the *last* edge added into a
@@ -26,7 +26,7 @@
 
 type category =
   | Compute (* worker CPU executing steps and flushes *)
-  | Queue (* hand-off sat in a worker queue / stash while the worker was elsewhere *)
+  | Queue (* hand-off sat in a worker queue while the worker was elsewhere *)
   | Network (* TLC buffer dwell, NLC window, NIC serialization, wire, shm hop *)
   | Retransmit (* delivery completed by a retransmitted copy: drop + timeout + resend *)
   | Barrier (* waiting for a collective: aggregation partials, setup acks *)
@@ -53,7 +53,7 @@ let category_index = function
 type t = {
   enabled : bool;
   capacity : int;
-  qids : int Vec.t; (* per node: owning query (-1 for system nodes) *)
+  qids : int Vec.t; (* per node: owning query *)
   times : Sim_time.t Vec.t; (* per node: instant *)
   names : string Vec.t; (* per node: static site label *)
   incoming : (int * category) list Vec.t; (* per node: edges, binding cause first *)

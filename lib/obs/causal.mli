@@ -11,7 +11,7 @@
 
 type category =
   | Compute  (** worker CPU executing steps and flushes *)
-  | Queue  (** hand-off waited in a queue or stash *)
+  | Queue  (** hand-off waited in a worker queue *)
   | Network  (** buffer dwell, combining window, NIC, wire, shm hop *)
   | Retransmit  (** delivery completed by a retransmitted copy *)
   | Barrier  (** waiting for a collective (aggregation partials, setup acks) *)
@@ -38,8 +38,8 @@ val n_edges : t -> int
 val dropped : t -> int
 
 (** [node t ~qid ~name ~ts] registers a hand-off instant and returns its
-    id, or [-1] when disabled or truncated. [qid] is [-1] for nodes not
-    owned by a query (migration protocol traffic). *)
+    id, or [-1] when disabled or truncated. [qid] is the query that owns
+    the hand-off. *)
 val node : t -> qid:int -> name:string -> ts:Sim_time.t -> int
 
 (** [edge t ~src ~dst cat] — caller must add the binding cause *last*.

@@ -46,10 +46,6 @@ let metrics_json (m : Metrics.t) =
       ("dup_dropped", Json.Int (Metrics.dup_dropped m));
       ("acks", Json.Int (Metrics.acks m));
       ("abandoned", Json.Int (Metrics.abandoned m));
-      ("migrations", Json.Int (Metrics.migrations m));
-      ("migrated_entries", Json.Int (Metrics.migrated_entries m));
-      ("forwarded", Json.Int (Metrics.forwarded m));
-      ("stashed", Json.Int (Metrics.stashed m));
       ("trace_dropped", Json.Int (Metrics.trace_dropped m));
     ]
 

@@ -8,7 +8,6 @@ type t = {
   trace : Trace.t;
   flight : Flight.t;
   opstats : Opstats.t;
-  traffic : Traffic.t;
   causal : Causal.t;
   enabled : bool;
 }
@@ -18,7 +17,6 @@ let disabled =
     trace = Trace.disabled;
     flight = Flight.disabled;
     opstats = Opstats.disabled;
-    traffic = Traffic.disabled;
     causal = Causal.disabled;
     enabled = false;
   }
@@ -31,7 +29,6 @@ let create ?trace_capacity ?flight_capacity ?(causal = false) ?causal_capacity (
     trace = Trace.create ?capacity:trace_capacity ();
     flight = Flight.create ?capacity:flight_capacity ();
     opstats = Opstats.create ();
-    traffic = Traffic.create ();
     causal = (if causal then Causal.create ?capacity:causal_capacity () else Causal.disabled);
     enabled = true;
   }
@@ -40,5 +37,4 @@ let enabled t = t.enabled
 let trace t = t.trace
 let flight t = t.flight
 let opstats t = t.opstats
-let traffic t = t.traffic
 let causal t = t.causal

@@ -15,5 +15,4 @@ val enabled : t -> bool
 val trace : t -> Trace.t
 val flight : t -> Flight.t
 val opstats : t -> Opstats.t
-val traffic : t -> Traffic.t
 val causal : t -> Causal.t

@@ -48,11 +48,6 @@ type t = {
   mutable dup_dropped : int; (* received packets discarded by the dedup window *)
   mutable acks : int; (* acknowledgement packets sent *)
   mutable abandoned : int; (* packets given up after max_retries *)
-  (* Adaptive repartitioning (all zero when migration is off): *)
-  mutable migrations : int; (* vertex migrations started *)
-  mutable migrated_entries : int; (* memo entries re-homed *)
-  mutable forwarded : int; (* traversers forwarded to a vertex's new owner *)
-  mutable stashed : int; (* traversers parked awaiting migration data *)
   (* Observability self-diagnostics (mirrored from the recorder ring): *)
   mutable trace_dropped : int; (* trace events overwritten in the bounded ring *)
 }
@@ -79,10 +74,6 @@ let create () =
     dup_dropped = 0;
     acks = 0;
     abandoned = 0;
-    migrations = 0;
-    migrated_entries = 0;
-    forwarded = 0;
-    stashed = 0;
     trace_dropped = 0;
   }
 
@@ -107,10 +98,6 @@ let reset t =
   t.dup_dropped <- 0;
   t.acks <- 0;
   t.abandoned <- 0;
-  t.migrations <- 0;
-  t.migrated_entries <- 0;
-  t.forwarded <- 0;
-  t.stashed <- 0;
   t.trace_dropped <- 0
 
 let count_message t kind bytes =
@@ -139,10 +126,6 @@ let count_retransmit t = t.retransmits <- t.retransmits + 1
 let count_dup_dropped t = t.dup_dropped <- t.dup_dropped + 1
 let count_ack t = t.acks <- t.acks + 1
 let count_abandoned t = t.abandoned <- t.abandoned + 1
-let count_migration t = t.migrations <- t.migrations + 1
-let count_migrated_entries t n = t.migrated_entries <- t.migrated_entries + n
-let count_forwarded t = t.forwarded <- t.forwarded + 1
-let count_stashed t = t.stashed <- t.stashed + 1
 
 let set_trace_dropped t n = t.trace_dropped <- n
 
@@ -167,13 +150,7 @@ let retransmits t = t.retransmits
 let dup_dropped t = t.dup_dropped
 let acks t = t.acks
 let abandoned t = t.abandoned
-let migrations t = t.migrations
-let migrated_entries t = t.migrated_entries
-let forwarded t = t.forwarded
-let stashed t = t.stashed
 let trace_dropped t = t.trace_dropped
-
-let migration_seen t = t.migrations + t.migrated_entries + t.forwarded + t.stashed > 0
 
 let faults_seen t =
   t.fault_drops + t.fault_dups + t.fault_delays + t.retransmits + t.dup_dropped + t.acks
@@ -192,11 +169,6 @@ let pp ppf t =
   if faults_seen t then
     Fmt.pf ppf " drops=%d dups=%d delays=%d retx=%d dedup=%d acks=%d abandoned=%d" t.fault_drops
       t.fault_dups t.fault_delays t.retransmits t.dup_dropped t.acks t.abandoned;
-  (* Likewise, migration counters only appear once a vertex has moved, so
-     static-partition output is unchanged. *)
-  if migration_seen t then
-    Fmt.pf ppf " migrations=%d rehomed=%d forwarded=%d stashed=%d" t.migrations
-      t.migrated_entries t.forwarded t.stashed;
   (* A truncated trace ring must be visible wherever metrics are read, so
      a partial trace is never mistaken for a complete one. *)
   if t.trace_dropped > 0 then Fmt.pf ppf " trace_dropped=%d" t.trace_dropped

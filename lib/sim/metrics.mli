@@ -32,10 +32,6 @@ val count_retransmit : t -> unit
 val count_dup_dropped : t -> unit
 val count_ack : t -> unit
 val count_abandoned : t -> unit
-val count_migration : t -> unit
-val count_migrated_entries : t -> int -> unit
-val count_forwarded : t -> unit
-val count_stashed : t -> unit
 
 (** Mirror the trace ring's overwrite count into the run metrics (set, not
     added: the ring keeps the authoritative count). *)
@@ -65,19 +61,9 @@ val dup_dropped : t -> int
 val acks : t -> int
 val abandoned : t -> int
 
-(** Adaptive-repartitioning counters; all zero with static partitioning. *)
-val migrations : t -> int
-
-val migrated_entries : t -> int
-val forwarded : t -> int
-val stashed : t -> int
-
 (** Trace events overwritten in the bounded recorder ring; zero when the
     trace is complete (or tracing is off). *)
 val trace_dropped : t -> int
-
-(** Whether any migration counter is non-zero. *)
-val migration_seen : t -> bool
 
 (** Whether any fault-plane counter is non-zero. *)
 val faults_seen : t -> bool

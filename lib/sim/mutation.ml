@@ -1,8 +1,8 @@
 (* Seeded protocol mutants.
 
    Each constructor disables exactly one safety mechanism of a distributed
-   protocol grown in PRs 3-5. They exist to validate the conformance
-   monitors and the schedule explorer: a checker that cannot catch these
+   protocol. They exist to validate the conformance monitors and the
+   schedule explorer: a checker that cannot catch these
    within a bounded schedule budget is not checking anything. The gates
    are threaded through [Engine.Common] so production paths never branch
    on them unless a mutant is explicitly installed. *)
@@ -10,15 +10,13 @@
 type t =
   | Skip_dedup  (** channel receiver treats every packet as fresh *)
   | No_retransmit  (** retransmit timers fire but send nothing *)
-  | Drop_stash_drain  (** migration data install never drains the stash *)
   | Early_tracker_release  (** coordinator completes a phase after 2 receipts *)
 
-let all = [ Skip_dedup; No_retransmit; Drop_stash_drain; Early_tracker_release ]
+let all = [ Skip_dedup; No_retransmit; Early_tracker_release ]
 
 let name = function
   | Skip_dedup -> "skip-dedup"
   | No_retransmit -> "no-retransmit"
-  | Drop_stash_drain -> "drop-stash-drain"
   | Early_tracker_release -> "early-tracker-release"
 
 let of_string s =
@@ -29,5 +27,4 @@ let of_string s =
 let describe = function
   | Skip_dedup -> "receiver dedup window bypassed: retransmitted packets are applied twice"
   | No_retransmit -> "retransmit timer disabled: a dropped packet is lost forever"
-  | Drop_stash_drain -> "P_migrate_data installs entries but never releases stashed traversers"
   | Early_tracker_release -> "progress tracker force-completed after two receipts"

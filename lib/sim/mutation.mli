@@ -6,7 +6,6 @@
 type t =
   | Skip_dedup  (** channel receiver treats every packet as fresh *)
   | No_retransmit  (** retransmit timers fire but send nothing *)
-  | Drop_stash_drain  (** migration data install never drains the stash *)
   | Early_tracker_release  (** coordinator completes a phase after 2 receipts *)
 
 val all : t list

@@ -172,21 +172,12 @@ let share attr cat =
 
 let test_straggler_blamed () =
   let graph = Pstm_gen.Datasets.load Pstm_gen.Datasets.tiny in
-  (* Pin every vertex on partition 0 (worker 0 of node 0) and freeze the
-     repartitioner, then make node 0 a 40x straggler. Query 0's
-     coordinator also lands on worker 0, so the whole serial chain runs
-     on the straggler: the critical path must blame Compute. *)
-  let options =
-    {
-      Async_engine.default_options with
-      Async_engine.partition = Partition.Adaptive;
-      initial_assignment = Some (Array.make (Graph.n_vertices graph) 0);
-      adaptive =
-        { Async_engine.default_adaptive with Async_engine.min_traffic = max_int };
-    }
-  in
+  (* Run on a one-node cluster and make node 0 a 40x straggler. Every
+     worker, the coordinator included, lives on that node, so the whole
+     serial chain runs on the straggler: the critical path must blame
+     Compute. *)
   let faults = { Faults.none with Faults.slow_nodes = [ (0, 40.0) ] } in
-  let report, causal = run_traced ~options ~faults graph in
+  let report, causal = run_traced ~nodes:1 ~faults graph in
   let attr = check_exact_partition ~label:"straggler" report causal in
   let compute = share attr Causal.Compute in
   Alcotest.(check bool)
@@ -194,9 +185,9 @@ let test_straggler_blamed () =
     true (compute >= 0.8);
   Alcotest.(check bool) "dominant is compute" true
     (fst (Causal.dominant attr) = Causal.Compute);
-  (* Control: the same placement without the straggler must not be
+  (* Control: the same one-node cluster without the straggler must not be
      compute-bound to the same degree — the blame tracks the fault. *)
-  let report', causal' = run_traced ~options graph in
+  let report', causal' = run_traced ~nodes:1 graph in
   let attr' = check_exact_partition ~label:"control" report' causal' in
   Alcotest.(check bool) "blame tracks the injected fault" true
     (share attr' Causal.Compute < compute)

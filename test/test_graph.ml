@@ -131,7 +131,7 @@ let partition_covers =
               (Partition.members p part)
           done;
           n_vertices = 0 || Array.for_all (Int.equal 1) seen)
-        [ Partition.Hash; Partition.Mod; Partition.Block; Partition.Adaptive ])
+        [ Partition.Hash; Partition.Mod; Partition.Block ])
 
 let test_partition_imbalance () =
   let p = Partition.create ~n_parts:4 ~n_vertices:1000 () in
@@ -147,33 +147,6 @@ let test_partition_imbalance_boundaries () =
   Alcotest.(check (float 0.0)) "empty graph" 1.0 (imb ~n_parts:4 ~n_vertices:0 ());
   Alcotest.(check (float 0.0)) "more parts than vertices" 1.0
     (imb ~n_parts:10 ~n_vertices:3 ())
-
-let test_partition_adaptive () =
-  let p = Partition.create ~strategy:Partition.Adaptive ~n_parts:4 ~n_vertices:16 () in
-  let hash = Partition.create ~strategy:Partition.Hash ~n_parts:4 ~n_vertices:16 () in
-  (* Adaptive starts from the hash placement... *)
-  for v = 0 to 15 do
-    Alcotest.(check int) "starts at hash" (Partition.owner hash v) (Partition.owner p v)
-  done;
-  (* ...and set_owner rewrites the table, visible through owner, members
-     and to_assignment. *)
-  let dst = (Partition.owner p 5 + 1) mod 4 in
-  Partition.set_owner p 5 dst;
-  Alcotest.(check int) "owner rewritten" dst (Partition.owner p 5);
-  Alcotest.(check bool) "member of new partition" true
-    (Array.mem 5 (Partition.members p dst));
-  Alcotest.(check int) "snapshot agrees" dst (Partition.to_assignment p).(5);
-  (* Seeding from an explicit table is honored (and copied). *)
-  let assignment = Array.init 16 (fun v -> v mod 4) in
-  let seeded =
-    Partition.create ~strategy:Partition.Adaptive ~assignment ~n_parts:4 ~n_vertices:16 ()
-  in
-  assignment.(0) <- 3;
-  Alcotest.(check int) "seeded table copied" 0 (Partition.owner seeded 0);
-  Alcotest.(check bool) "set_owner on static is an error" true
-    (match Partition.set_owner hash 5 0 with
-    | () -> false
-    | exception Invalid_argument _ -> true)
 
 (* --- Builder / Graph --- *)
 
@@ -271,7 +244,6 @@ let () =
           Alcotest.test_case "imbalance" `Quick test_partition_imbalance;
           Alcotest.test_case "imbalance boundaries" `Quick
             test_partition_imbalance_boundaries;
-          Alcotest.test_case "adaptive table" `Quick test_partition_adaptive;
           qcheck partition_covers;
         ] );
       ( "graph",
