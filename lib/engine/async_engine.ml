@@ -25,6 +25,7 @@
      weight becomes its own message to the tracker. *)
 
 module Protocol = Pstm_analysis.Protocol
+module Causal = Pstm_obs.Causal
 
 type flavor =
   | Graphdance
@@ -95,7 +96,6 @@ type query_state = {
   mutable launched : bool; (* the submit event ran (trackers registered) *)
   trackers : Progress.tracker array; (* one per phase *)
   touched : Bitset.t; (* workers that executed a traverser (first-touch) *)
-  fl_weight : Pstm_obs.Flight.handle array; (* per-phase weight trajectory *)
   mutable combine_step : int; (* aggregate step being combined, or -1 *)
   mutable combine_expected : int;
   mutable combine_received : int;
@@ -227,15 +227,14 @@ let create ?(options = default_options) ?(common = Engine.Common.default) ~clust
      recorder's own enabled flag), so the disabled path costs one branch. *)
   let obs_on = Pstm_obs.Recorder.enabled obs in
   let trace = Pstm_obs.Recorder.trace obs in
-  let flight = Pstm_obs.Recorder.flight obs in
   let opstats = Pstm_obs.Recorder.opstats obs in
   (* Causal tracing (EXPLAIN LATENCY): every hand-off registers a DAG
-     node; the producing context rides the payload's [cz] field. All
-     sites are guarded by [cz_on], so the default path pays nothing. *)
+     node; the producing context rides the payload's [cz] field. The
+     Causal calls are no-ops returning -1 when tracing is off; [cz_on]
+     guards only the sites that would otherwise allocate or touch a
+     table (arrival interception and the [cz_coalesce] entries). *)
   let causal = Pstm_obs.Recorder.causal obs in
-  let cz_on = Pstm_obs.Causal.enabled causal in
-  let inflight = ref 0 in
-  (* dispatched but not yet executed traversers *)
+  let cz_on = Causal.enabled causal in
   (* Service callback: fired once per query at its terminal transition
      (completion, per-query timeout, or scoped cancellation). *)
   let on_terminal : (int -> Engine.outcome -> unit) ref = ref (fun _ _ -> ()) in
@@ -286,19 +285,20 @@ let create ?(options = default_options) ?(common = Engine.Common.default) ~clust
           members = lazy (Partition.members partition id);
         })
   in
-  (* Flight-recorder series handles, resolved once (lookup is linear). *)
-  let fl_queue =
-    Array.init n_workers (fun i -> Pstm_obs.Flight.series flight (Printf.sprintf "worker%d.queue" i))
-  in
-  let fl_memo =
-    Array.init n_workers (fun i -> Pstm_obs.Flight.series flight (Printf.sprintf "worker%d.memo" i))
-  in
-  let fl_inflight = Pstm_obs.Flight.series flight "inflight" in
   let queries : (int, query_state) Hashtbl.t = Hashtbl.create 64 in
   let query qid =
     match Hashtbl.find_opt queries qid with
     | Some q -> q
     | None -> invalid_arg (Fmt.str "Async_engine: unknown query %d" qid)
+  in
+  (* The query if it is still live. A cancelled or timed-out query's
+     stragglers (traversers, weights, partials, acks) are dropped: its
+     trackers are already released, so feeding them would re-trigger
+     completion machinery on a dead query. *)
+  let live qid =
+    match Hashtbl.find_opt queries qid with
+    | Some q as found when q.active -> found
+    | _ -> None
   in
   (* Total live operator instances; the dataflow flavors pay a scheduling
      tax proportional to this every quantum. *)
@@ -388,20 +388,13 @@ let create ?(options = default_options) ?(common = Engine.Common.default) ~clust
      edge *is* the recovery stall. Same-worker sends bypass this (no hop:
      the consumer binds straight to the producer). *)
   let cz_arrive_payload p =
-    let hop =
+    let cat =
       match !channel_ref with
-      | Some ch when Channel.delivering_retransmitted ch -> Pstm_obs.Causal.Retransmit
-      | _ -> Pstm_obs.Causal.Network
+      | Some ch when Channel.delivering_retransmitted ch -> Causal.Retransmit
+      | _ -> Causal.Network
     in
     let ts = Cluster.now cluster in
-    let arrive ~qid ~name cz =
-      if cz < 0 then -1
-      else begin
-        let a = Pstm_obs.Causal.node causal ~qid ~name ~ts in
-        Pstm_obs.Causal.edge causal ~src:cz ~dst:a hop;
-        a
-      end
-    in
+    let arrive ~qid ~name cz = if cz < 0 then -1 else Causal.hop causal ~src:cz ~qid ~name ~ts cat in
     match p with
     | P_trav ({ qid; _ } as r) -> r.cz <- arrive ~qid ~name:"arrive" r.cz
     | P_progress ({ qid; _ } as r) -> r.cz <- arrive ~qid ~name:"arrive-progress" r.cz
@@ -438,8 +431,7 @@ let create ?(options = default_options) ?(common = Engine.Common.default) ~clust
     else
       Channel.send (channel ()) ~at ~src_worker:src ~dst_worker:dst ~kind
         ~bytes:(payload_bytes payload) payload
-  and dispatch_trav ~at ~src ?(cz = -1) q trav =
-    if obs_on then incr inflight;
+  and dispatch_trav ~at ~src ~cz q trav =
     let target = route q trav in
     let dst = if target >= 0 then Partition.owner partition target else -1 - target in
     let step = Program.step q.program trav.step in
@@ -450,16 +442,9 @@ let create ?(options = default_options) ?(common = Engine.Common.default) ~clust
     in
     send ~at ~src ~dst ~kind (P_trav { qid = q.qid; trav; cz })
   (* ---- Progress tracking ---------------------------------------------- *)
-  and tracker_receive ~at ?(cz = -1) w q phase weight =
+  and tracker_receive ~at ~cz w q phase weight =
     Metrics.count_tracker_update metrics;
-    let cz =
-      if not cz_on then -1
-      else begin
-        let r = Pstm_obs.Causal.node causal ~qid:q.qid ~name:"tracker" ~ts:at in
-        Pstm_obs.Causal.edge causal ~src:cz ~dst:r Pstm_obs.Causal.Tracker;
-        r
-      end
-    in
+    let cz = Causal.hop causal ~src:cz ~qid:q.qid ~name:"tracker" ~ts:at Causal.Tracker in
     if not (Weight.is_zero weight) then tracker_event "receive" ~qid:q.qid ~phase;
     if obs_on then begin
       let acc = Weight.add (Progress.accumulated q.trackers.(phase)) weight in
@@ -471,8 +456,7 @@ let create ?(options = default_options) ?(common = Engine.Common.default) ~clust
             ("receipts", Pstm_obs.Trace.I (Progress.receipts q.trackers.(phase) + 1));
             ("accumulated", Pstm_obs.Trace.I (acc :> int));
           ]
-        ();
-      Pstm_obs.Flight.sample flight q.fl_weight.(phase) ~time:at (float_of_int (acc :> int))
+        ()
     end;
     (* Sanitizer: the tracker fires exactly when finished weights sum back
        to the root. Weight arriving afterwards means some share was
@@ -496,7 +480,7 @@ let create ?(options = default_options) ?(common = Engine.Common.default) ~clust
         Sim_time.add costs.Cluster.progress_add (phase_complete ~at ~cz w q phase)
       end
       else costs.Cluster.progress_add
-  and finish_weight ~at ?(cz = -1) w q phase weight =
+  and finish_weight ~at ~cz w q phase weight =
     if Weight.is_zero weight then Sim_time.zero
     else begin
       let coalescing = options.weight_coalescing || options.flavor <> Graphdance in
@@ -524,9 +508,8 @@ let create ?(options = default_options) ?(common = Engine.Common.default) ~clust
     if not (Progress.is_empty w.coalescer) then
       List.iter
         (fun (qid, phase, weight) ->
-          match Hashtbl.find_opt queries qid with
-          | None -> if cz_on then Hashtbl.remove w.cz_coalesce (qid, phase)
-          | Some q when not q.active ->
+          match live qid with
+          | None ->
             (* Cancelled: the weight is reclaimed, not tracked — and its
                parked causal entry goes with it, or the (qid, phase) key
                would outlive the query for the rest of the run. *)
@@ -542,9 +525,7 @@ let create ?(options = default_options) ?(common = Engine.Common.default) ~clust
                 | None -> -1
                 | Some src ->
                   Hashtbl.remove w.cz_coalesce (qid, phase);
-                  let f = Pstm_obs.Causal.node causal ~qid ~name:"progress-flush" ~ts:at in
-                  Pstm_obs.Causal.edge causal ~src ~dst:f Pstm_obs.Causal.Tracker;
-                  f
+                  Causal.hop causal ~src ~qid ~name:"progress-flush" ~ts:at Causal.Tracker
               end
             in
             if q.coordinator = w.id then
@@ -557,7 +538,7 @@ let create ?(options = default_options) ?(common = Engine.Common.default) ~clust
         (Progress.drain w.coalescer);
     !cost
   (* ---- Phase transitions ----------------------------------------------- *)
-  and phase_complete ~at ?(cz = -1) w q phase =
+  and phase_complete ~at ~cz w q phase =
     tracker_event "release" ~qid:q.qid ~phase;
     if obs_on then
       Pstm_obs.Trace.instant trace ~tid:(Engine.query_track q.qid) ~name:"phase_complete" ~ts:at
@@ -577,14 +558,7 @@ let create ?(options = default_options) ?(common = Engine.Common.default) ~clust
         else Array.init n_workers Fun.id
       in
       q.combine_expected <- Array.length responders;
-      let cz =
-        if not cz_on then -1
-        else begin
-          let p = Pstm_obs.Causal.node causal ~qid:q.qid ~name:"phase-complete" ~ts:at in
-          Pstm_obs.Causal.edge causal ~src:cz ~dst:p Pstm_obs.Causal.Tracker;
-          p
-        end
-      in
+      let cz = Causal.hop causal ~src:cz ~qid:q.qid ~name:"phase-complete" ~ts:at Causal.Tracker in
       let cost = ref Sim_time.zero in
       Array.iter
         (fun dst ->
@@ -595,17 +569,14 @@ let create ?(options = default_options) ?(common = Engine.Common.default) ~clust
         responders;
       !cost
     | None -> complete_query ~at ~cz w q
-  and complete_query ~at ?(cz = -1) w q =
+  and complete_query ~at ~cz w q =
     let released_at = max at (Cluster.now cluster) in
     q.outcome <- Some (Engine.Completed released_at);
     q.active <- false;
-    if cz_on then begin
-      (* Terminal node: the walk back from here along binding edges is the
-         query's critical path, and its segments sum to the latency. *)
-      let z = Pstm_obs.Causal.node causal ~qid:q.qid ~name:"release" ~ts:released_at in
-      Pstm_obs.Causal.edge causal ~src:cz ~dst:z Pstm_obs.Causal.Tracker;
-      Pstm_obs.Causal.set_release causal ~qid:q.qid z
-    end;
+    (* Terminal node: the walk back from here along binding edges is the
+       query's critical path, and its segments sum to the latency. *)
+    Causal.set_release causal ~qid:q.qid
+      (Causal.hop causal ~src:cz ~qid:q.qid ~name:"release" ~ts:released_at Causal.Tracker);
     if obs_on then
       Pstm_obs.Trace.instant trace ~tid:(Engine.query_track q.qid) ~name:"complete" ~ts:at
         ~args:
@@ -629,10 +600,8 @@ let create ?(options = default_options) ?(common = Engine.Common.default) ~clust
   and process w ~at payload =
     match payload with
     | P_trav { qid; trav; cz } -> begin
-      if obs_on then decr inflight;
-      match Hashtbl.find_opt queries qid with
+      match live qid with
       | None -> Sim_time.zero
-      | Some q when not q.active -> Sim_time.zero
       | Some q ->
         if obs_on && Bitset.add_if_absent q.touched w.id then
           Pstm_obs.Trace.instant trace ~tid:(Engine.query_track qid) ~name:"first_touch" ~ts:at
@@ -650,29 +619,18 @@ let create ?(options = default_options) ?(common = Engine.Common.default) ~clust
            when this worker has run continuously and its previous
            execution belonged to the same query — the worker chain
            (the span is serial compute occupancy). *)
-        let cz_exec =
-          if not cz_on then -1
-          else begin
-            let s =
-              Pstm_obs.Causal.node causal ~qid
-                ~name:(Step.op_name (Program.step q.program trav.Traverser.step).Step.op)
-                ~ts:at
-            in
-            Pstm_obs.Causal.edge causal ~src:cz ~dst:s Pstm_obs.Causal.Queue;
-            if w.cz_last_qid = qid then
-              Pstm_obs.Causal.edge causal ~src:w.cz_last ~dst:s Pstm_obs.Causal.Compute;
-            w.cz_last <- s;
-            w.cz_last_qid <- qid;
-            s
-          end
-        in
+        let op_name = Step.op_name (Program.step q.program trav.Traverser.step).Step.op in
+        let cz_exec = Causal.hop causal ~src:cz ~qid ~name:op_name ~ts:at Causal.Queue in
+        if w.cz_last_qid = qid then
+          Causal.edge causal ~src:w.cz_last ~dst:cz_exec Causal.Compute;
+        w.cz_last <- cz_exec;
+        w.cz_last_qid <- qid;
         let outcome =
           Exec.exec ~graph ~memo:w.memo ~prng:w.prng ~qid ~program:q.program ~scan trav
         in
         if check && not (Exec.conserves trav outcome) then
           Engine.check_fail "async: query %d step %d (%s) broke weight conservation" qid
-            trav.Traverser.step
-            (Step.op_name (Program.step q.program trav.Traverser.step).Step.op);
+            trav.Traverser.step op_name;
         Metrics.count_edges metrics outcome.Exec.edges_scanned;
         let base_cost = exec_cost outcome in
         if obs_on then
@@ -706,46 +664,31 @@ let create ?(options = default_options) ?(common = Engine.Common.default) ~clust
               (finish_weight ~at ~cz:cz_exec w q (Program.phase_of_step q.program trav.step)
                  outcome.Exec.finished);
         if obs_on then
-          Pstm_obs.Trace.span trace ~tid:w.id
-            ~name:(Step.op_name (Program.step q.program trav.Traverser.step).Step.op)
-            ~ts:at ~dur:!cost
+          Pstm_obs.Trace.span trace ~tid:w.id ~name:op_name ~ts:at ~dur:!cost
             ~args:[ ("qid", Pstm_obs.Trace.I qid); ("step", Pstm_obs.Trace.I trav.Traverser.step) ]
             ();
         !cost
     end
     | P_progress { qid; phase; weight; cz } -> begin
-      match Hashtbl.find_opt queries qid with
+      match live qid with
       | None -> Sim_time.zero
-      (* A cancelled / timed-out query's straggling weight is dropped:
-         its trackers are already released (timeout), so feeding them
-         would re-trigger completion machinery on a dead query. *)
-      | Some q when not q.active -> Sim_time.zero
       | Some q -> tracker_receive ~at ~cz w q phase weight
     end
     | P_agg_flush { qid; agg_step; cz } -> begin
-      match Hashtbl.find_opt queries qid with
+      match live qid with
       | None -> Sim_time.zero
-      | Some q when not q.active -> Sim_time.zero
       | Some q ->
         let partial = Memo.partial_opt w.memo ~qid ~label:agg_step in
-        let cz =
-          if not cz_on then -1
-          else begin
-            (* Collective leg: the coordinator waits for every partial, so
-               the flush and partial hops classify as Barrier. *)
-            let a = Pstm_obs.Causal.node causal ~qid ~name:"agg-flush" ~ts:at in
-            Pstm_obs.Causal.edge causal ~src:cz ~dst:a Pstm_obs.Causal.Barrier;
-            a
-          end
-        in
+        (* Collective leg: the coordinator waits for every partial, so
+           the flush and partial hops classify as Barrier. *)
+        let cz = Causal.hop causal ~src:cz ~qid ~name:"agg-flush" ~ts:at Causal.Barrier in
         Sim_time.add (memo_op_cost ())
           (send ~at ~src:w.id ~dst:q.coordinator ~kind:Metrics.Control_msg
              (P_agg_partial { qid; agg_step; partial; cz }))
     end
     | P_agg_partial { qid; agg_step; partial; cz } -> begin
-      match Hashtbl.find_opt queries qid with
+      match live qid with
       | None -> Sim_time.zero
-      | Some q when not q.active -> Sim_time.zero
       | Some q ->
         assert (q.combine_step = agg_step);
         (match partial, q.combine_acc with
@@ -776,16 +719,9 @@ let create ?(options = default_options) ?(common = Engine.Common.default) ~clust
           Metrics.count_spawn metrics;
           (* The continuation enters the next phase from outside any step. *)
           Pstm_obs.Opstats.seed opstats 1;
-          let cz =
-            if not cz_on then -1
-            else begin
-              (* The combine binds to the last partial in: the barrier
-                 wait is exactly what the straggling responder cost. *)
-              let c = Pstm_obs.Causal.node causal ~qid ~name:"agg-combine" ~ts:at in
-              Pstm_obs.Causal.edge causal ~src:cz ~dst:c Pstm_obs.Causal.Barrier;
-              c
-            end
-          in
+          (* The combine binds to the last partial in: the barrier wait
+             is exactly what the straggling responder cost. *)
+          let cz = Causal.hop causal ~src:cz ~qid ~name:"agg-combine" ~ts:at Causal.Barrier in
           Sim_time.add (memo_op_cost ()) (dispatch_trav ~at ~src:w.id ~cz q cont)
         end
     end
@@ -795,46 +731,30 @@ let create ?(options = default_options) ?(common = Engine.Common.default) ~clust
     | P_setup { qid; cz } -> begin
       (* Dataflow flavors instantiate every operator of the query's plan
          (plus its channels) in this worker before execution can start. *)
-      match Hashtbl.find_opt queries qid with
+      match live qid with
       | None -> Sim_time.zero
-      | Some q when not q.active -> Sim_time.zero
       | Some q ->
         let instantiate = 8 * Program.n_steps q.program * costs.Cluster.operator_sched in
-        let cz =
-          if not cz_on then -1
-          else begin
-            let s = Pstm_obs.Causal.node causal ~qid ~name:"setup" ~ts:at in
-            Pstm_obs.Causal.edge causal ~src:cz ~dst:s Pstm_obs.Causal.Compute;
-            s
-          end
-        in
+        let cz = Causal.hop causal ~src:cz ~qid ~name:"setup" ~ts:at Causal.Compute in
         Sim_time.add instantiate
           (send ~at ~src:w.id ~dst:q.coordinator ~kind:Metrics.Control_msg
              (P_setup_ack { qid; cz }))
     end
     | P_setup_ack { qid; cz } -> begin
-      match Hashtbl.find_opt queries qid with
+      match live qid with
       | None -> Sim_time.zero
-      | Some q when not q.active -> Sim_time.zero
       | Some q ->
         q.setup_acks <- q.setup_acks - 1;
         if q.setup_acks = 0 then begin
           (* Deployment barrier: launch binds to the last ack in. *)
-          let cz =
-            if not cz_on then -1
-            else begin
-              let l = Pstm_obs.Causal.node causal ~qid ~name:"launch" ~ts:at in
-              Pstm_obs.Causal.edge causal ~src:cz ~dst:l Pstm_obs.Causal.Barrier;
-              l
-            end
-          in
-          launch_entries ~at ~cz q;
+          launch_entries ~at q
+            ~cz:(Causal.hop causal ~src:cz ~qid ~name:"launch" ~ts:at Causal.Barrier);
           costs.Cluster.operator_sched * Program.n_steps q.program
         end
         else costs.Cluster.operator_sched
     end
   (* ---- Worker scheduling loop ------------------------------------------- *)
-  and launch_entries ~at ?(cz = -1) q =
+  and launch_entries ~at ~cz q =
     let entries = Program.entries q.program in
     let shares = Weight.split seed_prng Weight.root ~n:(Array.length entries) in
     Array.iteri
@@ -849,7 +769,6 @@ let create ?(options = default_options) ?(common = Engine.Common.default) ~clust
              its own partition. *)
           let seeds = Weight.split seed_prng shares.(i) ~n:n_workers in
           Pstm_obs.Opstats.seed opstats n_workers;
-          if obs_on then inflight := !inflight + n_workers;
           Array.iteri
             (fun dst seed ->
               ignore
@@ -858,7 +777,6 @@ let create ?(options = default_options) ?(common = Engine.Common.default) ~clust
             seeds
         | _ ->
           Pstm_obs.Opstats.seed opstats 1;
-          if obs_on then incr inflight;
           deliver q.coordinator (P_trav { qid = q.qid; trav = root; cz }))
       entries
   and quantum w =
@@ -877,18 +795,11 @@ let create ?(options = default_options) ?(common = Engine.Common.default) ~clust
   and run_quantum w quantum_start =
     (* An idle gap breaks the worker chain: the next execution's wait is
        genuinely its own queue/arrival time, not serial occupancy. *)
-    if cz_on && Sim_time.compare quantum_start w.busy_until > 0 then begin
+    if Sim_time.compare quantum_start w.busy_until > 0 then begin
       w.cz_last <- -1;
       w.cz_last_qid <- -1
     end;
     let local = ref quantum_start in
-    if obs_on then begin
-      Pstm_obs.Flight.sample flight fl_queue.(w.id) ~time:quantum_start
-        (float_of_int (Queue.length w.tasks));
-      Pstm_obs.Flight.sample flight fl_memo.(w.id) ~time:quantum_start
-        (float_of_int (Memo.live_entries w.memo));
-      Pstm_obs.Flight.sample flight fl_inflight ~time:quantum_start (float_of_int !inflight)
-    end;
     (* Dataflow flavors poll every live operator instance each quantum. *)
     if options.flavor <> Graphdance && !active_op_count > 0 then
       local :=
@@ -995,9 +906,6 @@ let create ?(options = default_options) ?(common = Engine.Common.default) ~clust
         trackers =
           Array.init (Program.n_phases program) (fun _ -> Progress.tracker ~target:Weight.root);
         touched = Bitset.create n_workers;
-        fl_weight =
-          Array.init (Program.n_phases program) (fun phase ->
-              Pstm_obs.Flight.series flight (Printf.sprintf "q%d.phase%d.weight" qid phase));
         combine_step = -1;
         combine_expected = 0;
         combine_received = 0;
@@ -1030,14 +938,8 @@ let create ?(options = default_options) ?(common = Engine.Common.default) ~clust
           for phase = 0 to Program.n_phases program - 1 do
             tracker_event "register" ~qid ~phase
           done;
-          let cz_sub =
-            if not cz_on then -1
-            else begin
-              let s0 = Pstm_obs.Causal.node causal ~qid ~name:"submit" ~ts:launch_at in
-              Pstm_obs.Causal.set_submit causal ~qid s0;
-              s0
-            end
-          in
+          let cz_sub = Causal.node causal ~qid ~name:"submit" ~ts:launch_at in
+          Causal.set_submit causal ~qid cz_sub;
           match options.flavor with
           | Graphdance ->
             (* PSTM programs need no deployment: traversers carry their
@@ -1074,31 +976,23 @@ let create ?(options = default_options) ?(common = Engine.Common.default) ~clust
     (* Graceful degradation: when delivery was cut short — a deadline
        truncated the run, or the reliable channel abandoned a packet after
        max retries — some queries end unfinished and some in-flight
-       P_cleanup broadcasts never land. Those queries report TIMEOUT; here
-       the coordinator reclaims their state so nothing wedges the tracker
-       or leaks memo entries into the next run. The loop walks qids in
-       order (not the hashtable) to stay deterministic. *)
+       P_cleanup broadcasts never land. Those queries take the same
+       terminal transition as a per-query timeout, and every query's memo
+       entries are swept, so nothing wedges the tracker or leaks into the
+       next run. The loop walks qids in order (not the hashtable) to stay
+       deterministic. *)
     let abandoned = Metrics.abandoned metrics > 0 in
     if deadline <> None || abandoned then
       for qid = 0 to n_queries - 1 do
-        let q = query qid in
-        if q.outcome = None then begin
-          q.outcome <- Some Engine.Timed_out;
-          q.active <- false;
-          Array.iteri
-            (fun phase tr ->
-              if not (Progress.is_complete tr) then tracker_event "timeout" ~qid ~phase)
-            q.trackers;
-          !on_terminal qid Engine.Timed_out
-        end;
+        terminate ~at:(Cluster.now cluster) qid Engine.Timed_out;
         Array.iter (fun w -> Memo.clear_query w.memo qid) workers
       done;
     (* Sanitizer post-conditions. Termination of every query only holds
        when delivery ran to completion (no deadline, nothing abandoned) —
        the reliable channel makes it hold even under drop/dup/delay
        faults; queries cancelled or timed out per-query are terminal by
-       construction. Memo emptiness holds always, thanks to the scoped
-       reclaim at each terminal transition. *)
+       construction. Coalescer and memo emptiness hold always, thanks to
+       the scoped reclaim at each terminal transition. *)
     if check then begin
       if deadline = None && not abandoned then begin
         for qid = 0 to n_queries - 1 do
@@ -1118,21 +1012,20 @@ let create ?(options = default_options) ?(common = Engine.Common.default) ~clust
               | None -> ()
               | Some why -> Engine.check_fail "async: %s" why
             end)
-          [ mon_channel; mon_tracker ];
-        (* No weight may be left unflushed and no causal bookkeeping
-           may outlive its query: parked state here means some
-           (qid, phase) escaped both the flush path and the scoped
-           reclaim at its terminal transition. *)
-        Array.iter
-          (fun w ->
-            if not (Progress.is_empty w.coalescer) then
-              Engine.check_fail "async: worker %d holds unflushed coalesced weight at finish"
-                w.id;
-            let n = Hashtbl.length w.cz_coalesce in
-            if n > 0 then
-              Engine.check_fail "async: worker %d strands %d coalescer causal entries" w.id n)
-          workers
+          [ mon_channel; mon_tracker ]
       end;
+      (* No weight may be left unflushed and no causal bookkeeping may
+         outlive its query: parked state here means some (qid, phase)
+         escaped both the flush path and the scoped reclaim at its
+         terminal transition. *)
+      Array.iter
+        (fun w ->
+          if not (Progress.is_empty w.coalescer) then
+            Engine.check_fail "async: worker %d holds unflushed coalesced weight at finish" w.id;
+          let n = Hashtbl.length w.cz_coalesce in
+          if n > 0 then
+            Engine.check_fail "async: worker %d strands %d coalescer causal entries" w.id n)
+        workers;
       Array.iter
         (fun w ->
           let n = Memo.live_entries w.memo in

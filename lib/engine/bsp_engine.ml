@@ -69,7 +69,6 @@ let create ?(profile = Ablation) ?(common = Engine.Common.default) ~cluster_conf
   let cluster = Cluster.create cluster_config in
   let obs_on = Pstm_obs.Recorder.enabled obs in
   let trace = Pstm_obs.Recorder.trace obs in
-  let flight = Pstm_obs.Recorder.flight obs in
   let opstats = Pstm_obs.Recorder.opstats obs in
   let metrics = Cluster.metrics cluster in
   let costs = Cluster.costs cluster in
@@ -95,13 +94,6 @@ let create ?(profile = Ablation) ?(common = Engine.Common.default) ~cluster_conf
     done
   in
   let on_terminal : (int -> Engine.outcome -> unit) ref = ref (fun _ _ -> ()) in
-  let fl_frontier =
-    Array.init n_workers (fun i -> Pstm_obs.Flight.series flight (Printf.sprintf "worker%d.queue" i))
-  in
-  let fl_memo =
-    Array.init n_workers (fun i -> Pstm_obs.Flight.series flight (Printf.sprintf "worker%d.memo" i))
-  in
-  let fl_live = Pstm_obs.Flight.series flight "inflight" in
   let clock = ref Sim_time.zero in
   (* Caller events (service layer arrivals / cancellations / timers),
      kept sorted by (time, insertion seq) for determinism and fired at
@@ -233,17 +225,6 @@ let create ?(profile = Ablation) ?(common = Engine.Common.default) ~cluster_conf
   let superstep () =
     Metrics.count_superstep metrics;
     let clock0 = !clock in
-    if obs_on then begin
-      let live = ref 0 in
-      iter_queries (fun q -> live := !live + q.live);
-      Pstm_obs.Flight.sample flight fl_live ~time:clock0 (float_of_int !live);
-      for w = 0 to n_workers - 1 do
-        Pstm_obs.Flight.sample flight fl_frontier.(w) ~time:clock0
-          (float_of_int (Queue.length frontier.(w)));
-        Pstm_obs.Flight.sample flight fl_memo.(w) ~time:clock0
-          (float_of_int (Memo.live_entries memos.(w)))
-      done
-    end;
     let msg_bytes = Array.make_matrix n_nodes n_nodes 0 in
     let compute = Array.make n_workers (scheduling_overhead ()) in
     for w = 0 to n_workers - 1 do

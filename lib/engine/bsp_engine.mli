@@ -12,11 +12,11 @@ val profile_name : profile -> string
     conservation; termination and memo emptiness when no deadline
     applies); violations raise {!Engine.Check_violation}. [common.obs]
     attaches a query-scoped recorder (per-worker compute and
-    superstep/barrier spans, per-query instants, frontier-depth flight
-    series, per-step operator stats). Of [common.faults], only the
-    schedule-driven faults apply: stragglers stretch a node's compute
-    and pauses stall the barrier; the bulk exchange is closed-form, so
-    the per-packet drop/duplicate/delay verdicts have no effect. *)
+    superstep/barrier spans, per-query instants, per-step operator
+    stats). Of [common.faults], only the schedule-driven faults apply:
+    stragglers stretch a node's compute and pauses stall the barrier;
+    the bulk exchange is closed-form, so the per-packet
+    drop/duplicate/delay verdicts have no effect. *)
 val run :
   ?profile:profile ->
   ?common:Engine.Common.t ->

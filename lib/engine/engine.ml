@@ -33,13 +33,13 @@ let submit ?(at = Sim_time.zero) ?(tenant = 0) ?(priority = 0) ?deadline program
 (* --- Common run options ------------------------------------------------
 
    Every engine takes the same cross-cutting knobs — tracing, sanitizer
-   mode, wall-clock deadline, placement seed and (optionally) a fault
+   mode, simulated-time deadline, placement seed and (optionally) a fault
    schedule — so they live in one record passed as [?common] instead of
    a copy-pasted [?obs ?check ?deadline] triple per engine. *)
 
 module Common = struct
   type t = {
-    obs : Pstm_obs.Recorder.t; (* trace/flight/opstats sink *)
+    obs : Pstm_obs.Recorder.t; (* trace/opstats/causal sink *)
     check : bool; (* dynamic sanitizer (Check_violation on failure) *)
     deadline : Sim_time.t option; (* stop the run at this simulated time *)
     seed : int; (* placement / tie-break randomness *)
@@ -65,10 +65,6 @@ module Common = struct
   let with_obs obs t = { t with obs }
   let with_check check t = { t with check }
   let with_deadline deadline t = { t with deadline }
-  let with_seed seed t = { t with seed }
-  let with_faults faults t = { t with faults }
-  let with_chooser chooser t = { t with chooser }
-  let with_mutation mutation t = { t with mutation }
 end
 
 (* How a query's life ended. This replaces the old

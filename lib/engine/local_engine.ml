@@ -13,7 +13,7 @@ let run ?(common = Engine.Common.default) graph program =
   (* No cluster, no clock: deadline, seed and faults cannot apply here —
      the oracle is the fault-free semantic ground truth. *)
   (* The oracle has no simulated clock, so only operator stats are
-     recorded (busy time stays zero); trace and flight need timestamps. *)
+     recorded (busy time stays zero); the trace needs timestamps. *)
   let obs_on = Pstm_obs.Recorder.enabled obs in
   let opstats = Pstm_obs.Recorder.opstats obs in
   let memo = Memo.create () in

@@ -122,6 +122,15 @@ let edge t ~src ~dst cat =
     t.n_edges <- t.n_edges + 1
   end
 
+(* Node plus one incoming edge from [src]: the common shape of a
+   hand-off. The edge binds unless the caller adds another edge into the
+   returned node afterwards. Returns -1 (and records nothing) when
+   disabled. *)
+let hop t ~src ~qid ~name ~ts cat =
+  let id = node t ~qid ~name ~ts in
+  edge t ~src ~dst:id cat;
+  id
+
 let set_submit t ~qid id = if t.enabled && id >= 0 then Hashtbl.replace t.submits qid id
 let set_release t ~qid id = if t.enabled && id >= 0 then Hashtbl.replace t.releases qid id
 

@@ -46,6 +46,12 @@ val node : t -> qid:int -> name:string -> ts:Sim_time.t -> int
     Ignored when either endpoint is [-1]. *)
 val edge : t -> src:int -> dst:int -> category -> unit
 
+(** [hop t ~src ~qid ~name ~ts cat] is {!node} followed by
+    [edge ~src ~dst:node cat]; the edge is binding unless the caller adds
+    another edge into the returned node. Returns the new node, or [-1]
+    when disabled or truncated. *)
+val hop : t -> src:int -> qid:int -> name:string -> ts:Sim_time.t -> category -> int
+
 (** Mark the query's root (submission instant) and terminal (tracker
     release) nodes. *)
 val set_submit : t -> qid:int -> int -> unit

@@ -1,7 +1,7 @@
 (* Minimal deterministic JSON tree and printer.
 
    The observability layer writes machine-readable artifacts (Chrome
-   traces, bench results, flight-recorder dumps) that must be
+   traces, bench results, causal attributions) that must be
    byte-identical across runs of the same seed, so serialization avoids
    anything locale- or hash-order-dependent: object fields print in the
    order they were built, floats through a fixed format, and non-finite

@@ -1,13 +1,13 @@
 (* lib/obs unit tests: deterministic JSON, trace recorder semantics
    (disabled path, ring bounding, span nesting), byte-identical trace
-   export across same-seed engine runs, operator-stats conservation,
-   flight-recorder decimation, and histogram percentile edge cases. *)
+   export across same-seed engine runs, operator-stats conservation
+   (also under faults), tracing leaving engine output untouched, and
+   histogram percentile edge cases. *)
 
 open Pstm_engine
 open Pstm_query
 module Json = Pstm_obs.Json
 module Trace = Pstm_obs.Trace
-module Flight = Pstm_obs.Flight
 module Opstats = Pstm_obs.Opstats
 module Recorder = Pstm_obs.Recorder
 
@@ -130,26 +130,11 @@ let test_opstats_engine_conservation () =
   Alcotest.(check bool) "engine recorded steps" true (Opstats.total_in s > 0);
   Alcotest.(check bool) "total in = seeds + total out" true (Opstats.conserves s)
 
-(* --- Flight recorder --- *)
-
-let test_flight_decimation () =
-  let f = Flight.create ~capacity:8 () in
-  let h = Flight.series f "q.weight" in
-  for i = 0 to 999 do
-    Flight.sample f h ~time:(i * 10) (float_of_int i)
-  done;
-  Alcotest.(check bool) "bounded" true (Flight.points h <= 8);
-  Alcotest.(check int) "all offers counted" 1000 (Flight.seen h);
-  Alcotest.(check int) "find-or-create is stable" 1
-    (let h' = Flight.series f "q.weight" in
-     ignore (Flight.seen h');
-     Flight.n_series f)
-
-(* Flight recorder through a hostile run: drop faults force retransmits,
-   yet every retained series must stay monotone in sim-time and the
-   operator counts must still conserve (no traverser lost or
-   double-counted across a retransmitted delivery). *)
-let test_flight_faults () =
+(* Operator counts through a hostile run: drop faults force retransmits,
+   yet every traverser that entered a step must still be either spawned
+   or retired (none lost or double-counted across a retransmitted
+   delivery). *)
+let test_opstats_faults () =
   let graph = Pstm_gen.Datasets.load Pstm_gen.Datasets.tiny in
   let khop start = khop_program_at graph ~start 2 in
   let subs =
@@ -172,34 +157,6 @@ let test_flight_faults () =
   Alcotest.(check bool) "all queries complete" true (Engine.all_completed report);
   let m = report.Engine.metrics in
   Alcotest.(check bool) "retransmits engaged" true (Metrics.retransmits m > 0);
-  let flight = Recorder.flight obs in
-  Alcotest.(check bool) "series recorded" true (Flight.n_series flight > 0);
-  (* Every engine-recorded series samples against the simulated clock in
-     event order; decimation keeps a subsequence, so retained timestamps
-     must be nondecreasing. The engine names worker queue/memo series
-     and per-phase weight trajectories; walk them all. *)
-  let monotone h =
-    let rec ok = function
-      | (t0, _) :: ((t1, _) :: _ as rest) -> Sim_time.compare t0 t1 <= 0 && ok rest
-      | _ -> true
-    in
-    ok (Flight.samples h)
-  in
-  for w = 0 to 7 do
-    Alcotest.(check bool)
-      (Printf.sprintf "worker%d.queue monotone" w)
-      true
-      (monotone (Flight.series flight (Printf.sprintf "worker%d.queue" w)));
-    Alcotest.(check bool)
-      (Printf.sprintf "worker%d.memo monotone" w)
-      true
-      (monotone (Flight.series flight (Printf.sprintf "worker%d.memo" w)))
-  done;
-  Alcotest.(check bool) "inflight monotone" true (monotone (Flight.series flight "inflight"));
-  Alcotest.(check bool) "weight trajectory monotone" true
-    (monotone (Flight.series flight "q0.phase0.weight"));
-  (* Conservation across retransmits: every traverser that entered a
-     step is either spawned or retired. *)
   Alcotest.(check bool) "opstats conserve under faults" true
     (Opstats.conserves (Recorder.opstats obs))
 
@@ -219,12 +176,49 @@ let test_trace_dropped_surfaced () =
   Alcotest.(check int) "drop count mirrored into metrics" dropped
     (Metrics.trace_dropped report.Engine.metrics)
 
-let test_flight_disabled_noop () =
-  let f = Flight.disabled in
-  let h = Flight.series f "x" in
-  Flight.sample f h ~time:0 1.0;
-  Alcotest.(check int) "no series" 0 (Flight.n_series f);
-  Alcotest.(check int) "no points" 0 (Flight.points h)
+(* --- Tracing is inert --- *)
+
+(* Recording must not perturb the run: the same workload under the
+   disabled recorder and under a full recorder with causal tracing gives
+   byte-identical reports on every distributed engine — including the
+   terminal paths a quiet run never takes (a per-query deadline, a
+   mid-flight cancellation) and retransmits under packet drops. *)
+let test_tracing_inert () =
+  let graph = Pstm_gen.Datasets.load Pstm_gen.Datasets.tiny in
+  let subs =
+    Array.init 8 (fun i ->
+        let deadline = if i = 2 then Some (Sim_time.ns 1) else None in
+        Engine.submit ~at:(Sim_time.us (i * 10)) ?deadline
+          (khop_program_at graph ~start:(1 + (i mod 4)) 2))
+  in
+  let run (module E : Engine.S) obs =
+    let common =
+      {
+        (Engine.Common.with_obs obs Engine.Common.default) with
+        Engine.Common.check = true;
+        faults = Some { Faults.none with Faults.drop = 0.05 };
+      }
+    in
+    let h = E.start ~common ~graph () in
+    let qids = Array.map h.Engine.sh_submit subs in
+    h.Engine.sh_cancel ~qid:qids.(5) ~at:(Sim_time.add subs.(5).Engine.at (Sim_time.us 1));
+    h.Engine.sh_drive ~until:None;
+    h.Engine.sh_finish ()
+  in
+  List.iter
+    (fun (name, engine) ->
+      if name <> "local" then begin
+        let plain = run engine Recorder.disabled in
+        let has o = Array.exists (fun q -> q.Engine.outcome = o) plain.Engine.queries in
+        Alcotest.(check bool) (name ^ ": a query cancelled") true (has Engine.Cancelled);
+        Alcotest.(check bool) (name ^ ": a query timed out") true (has Engine.Timed_out);
+        let traced = run engine (Recorder.create ~causal:true ()) in
+        Alcotest.(check string)
+          (name ^ ": report unchanged by tracing")
+          (Json.to_string (Engine.report_json plain))
+          (Json.to_string (Engine.report_json traced))
+      end)
+    Registry.default
 
 (* --- Histogram percentile edge cases --- *)
 
@@ -274,12 +268,8 @@ let () =
         [
           Alcotest.test_case "accounting" `Quick test_opstats_accounting;
           Alcotest.test_case "engine conservation" `Quick test_opstats_engine_conservation;
+          Alcotest.test_case "conserve under faults" `Quick test_opstats_faults;
         ] );
-      ( "flight",
-        [
-          Alcotest.test_case "decimation" `Quick test_flight_decimation;
-          Alcotest.test_case "disabled no-op" `Quick test_flight_disabled_noop;
-          Alcotest.test_case "faults" `Quick test_flight_faults;
-        ] );
+      ("recorder", [ Alcotest.test_case "tracing is inert" `Quick test_tracing_inert ]);
       ("histogram", [ Alcotest.test_case "percentile edges" `Quick test_histogram_edges ]);
     ]
