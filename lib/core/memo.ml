@@ -18,48 +18,62 @@ type entry =
   | Partial of Aggregate.t
   | Rows of Value.t array list
 
+(* The bucket hash is private to the memo: tables are only probed, never
+   enumerated, so it may differ from [Value.hash] — which must not
+   change, since routing places [By_key] traversers with it. Vertex and
+   Int keys, the common ones, hash with integer arithmetic alone; the
+   rest defer to [Value.hash]. *)
 module Key = struct
   type t = int * Value.t (* label, key value *)
 
   let equal (l1, v1) (l2, v2) = l1 = l2 && Value.equal v1 v2
-  let hash (l, v) = (l * 31) + Value.hash v
+
+  let hash (l, v) =
+    match v with
+    | Value.Vertex x -> Int_table.hash ((l * 0x9E3779B1) + (2 * x))
+    | Value.Int x -> Int_table.hash ((l * 0x9E3779B1) + (2 * x) + 1)
+    | _ -> (l * 31) + Value.hash v
 end
 
 module Table = Hashtbl.Make (Key)
 
 type t = {
-  queries : (int, entry Table.t) Hashtbl.t; (* query id -> its records *)
+  queries : entry Table.t Int_table.t; (* query id -> its records *)
   mutable ops : int; (* probe/update count, for CPU accounting *)
   mutable peak_entries : int;
   mutable live_entries : int;
 }
 
-let create () = { queries = Hashtbl.create 8; ops = 0; peak_entries = 0; live_entries = 0 }
+let create () = { queries = Int_table.create 8; ops = 0; peak_entries = 0; live_entries = 0 }
 
 let ops t = t.ops
 let peak_entries t = t.peak_entries
 let live_entries t = t.live_entries
 
 let table t ~qid =
-  match Hashtbl.find_opt t.queries qid with
-  | Some table -> table
-  | None ->
-    let table = Table.create 64 in
-    Hashtbl.add t.queries qid table;
+  match Int_table.find t.queries qid with
+  | table -> table
+  | exception Not_found ->
+    let table = Table.create 8 in
+    Int_table.add t.queries qid table;
     table
 
 let grew t =
   t.live_entries <- t.live_entries + 1;
   if t.live_entries > t.peak_entries then t.peak_entries <- t.live_entries
 
+(* Each operation builds its (label, value) key once and probes with
+   [find]/[Not_found], so a hit allocates no [Some]. *)
+
 (* Test-and-set for deduplication: true iff the key was absent. *)
 let add_if_absent t ~qid ~label key =
   t.ops <- t.ops + 1;
   let table = table t ~qid in
-  if Table.mem table (label, key) then false
+  let k = (label, key) in
+  if Table.mem table k then false
   else begin
     grew t;
-    Table.replace table (label, key) (Scalar Value.Null);
+    Table.add table k (Scalar Value.Null);
     true
   end
 
@@ -72,58 +86,61 @@ type visit_outcome =
 let min_int_update t ~qid ~label key d =
   t.ops <- t.ops + 1;
   let table = table t ~qid in
-  match Table.find_opt table (label, key) with
-  | None ->
+  let k = (label, key) in
+  match Table.find table k with
+  | exception Not_found ->
     grew t;
-    Table.replace table (label, key) (Scalar (Value.Int d));
+    Table.add table k (Scalar (Value.Int d));
     First_visit
-  | Some (Scalar (Value.Int best)) when d < best ->
-    Table.replace table (label, key) (Scalar (Value.Int d));
+  | Scalar (Value.Int best) when d < best ->
+    Table.replace table k (Scalar (Value.Int d));
     Improved
-  | Some _ -> Not_improved
+  | _ -> Not_improved
 
 (* Fetch-or-create the partial aggregate of step [label]. *)
 let partial t ~qid ~label agg =
   t.ops <- t.ops + 1;
   let table = table t ~qid in
-  match Table.find_opt table (label, Value.Null) with
-  | Some (Partial p) -> p
-  | Some _ -> invalid_arg "Memo.partial: label holds a non-aggregate entry"
-  | None ->
+  let k = (label, Value.Null) in
+  match Table.find table k with
+  | Partial p -> p
+  | _ -> invalid_arg "Memo.partial: label holds a non-aggregate entry"
+  | exception Not_found ->
     grew t;
     let p = Aggregate.create agg in
-    Table.replace table (label, Value.Null) (Partial p);
+    Table.add table k (Partial p);
     p
 
 let partial_opt t ~qid ~label =
   t.ops <- t.ops + 1;
-  match Table.find_opt (table t ~qid) (label, Value.Null) with
-  | Some (Partial p) -> Some p
-  | Some _ -> invalid_arg "Memo.partial_opt: label holds a non-aggregate entry"
-  | None -> None
+  match Table.find (table t ~qid) (label, Value.Null) with
+  | Partial p -> Some p
+  | _ -> invalid_arg "Memo.partial_opt: label holds a non-aggregate entry"
+  | exception Not_found -> None
 
 (* Append a row to a join side's bucket and return the opposite bucket. *)
 let rows_add t ~qid ~label key row =
   t.ops <- t.ops + 1;
   let table = table t ~qid in
-  match Table.find_opt table (label, key) with
-  | Some (Rows rows) -> Table.replace table (label, key) (Rows (row :: rows))
-  | Some _ -> invalid_arg "Memo.rows_add: label holds a non-rows entry"
-  | None ->
+  let k = (label, key) in
+  match Table.find table k with
+  | Rows rows -> Table.replace table k (Rows (row :: rows))
+  | _ -> invalid_arg "Memo.rows_add: label holds a non-rows entry"
+  | exception Not_found ->
     grew t;
-    Table.replace table (label, key) (Rows [ row ])
+    Table.add table k (Rows [ row ])
 
 let rows_get t ~qid ~label key =
   t.ops <- t.ops + 1;
-  match Table.find_opt (table t ~qid) (label, key) with
-  | Some (Rows rows) -> rows
-  | Some _ -> invalid_arg "Memo.rows_get: label holds a non-rows entry"
-  | None -> []
+  match Table.find (table t ~qid) (label, key) with
+  | Rows rows -> rows
+  | _ -> invalid_arg "Memo.rows_get: label holds a non-rows entry"
+  | exception Not_found -> []
 
 (* Drop a terminated query's records (automatic clearing of §III-B). *)
 let clear_query t qid =
-  match Hashtbl.find_opt t.queries qid with
-  | None -> ()
-  | Some table ->
+  match Int_table.find t.queries qid with
+  | exception Not_found -> ()
+  | table ->
     t.live_entries <- t.live_entries - Table.length table;
-    Hashtbl.remove t.queries qid
+    Int_table.remove t.queries qid

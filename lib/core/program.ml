@@ -21,6 +21,14 @@ type t = {
 
 exception Invalid of string
 
+(* Engines keep per-(query, phase) state — coalesced weights, tracker
+   monitors — under one packed int key, [qid * max_phases + phase]. The
+   packing is collision-free only while every phase index stays below
+   [max_phases], so [make] rejects larger programs. *)
+let max_phases = 1024
+
+let phase_key ~qid ~phase = (qid * max_phases) + phase
+
 let invalid fmt = Fmt.kstr (fun s -> raise (Invalid s)) fmt
 
 let successors step index =
@@ -173,6 +181,8 @@ let make ~name ~steps ~n_registers ~entries =
     (fun i p -> if p = -1 then invalid "step %d (%s) is unreachable" i (Step.op_name steps.(i).Step.op))
     phase_of_step;
   let n_phases = 1 + Array.fold_left max 0 phase_of_step in
+  if n_phases > max_phases then
+    invalid "program has %d phases; at most %d are supported" n_phases max_phases;
   let agg_of_phase = Array.make n_phases None in
   Array.iteri
     (fun i step ->

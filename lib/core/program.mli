@@ -8,9 +8,18 @@ type t
 
 exception Invalid of string
 
+(** Most phases a program may have (aggregate steps + 1). *)
+val max_phases : int
+
+(** [phase_key ~qid ~phase] packs a query id and one of its phases into
+    one int, [qid * max_phases + phase]: the key of per-(query, phase)
+    engine state. Distinct pairs give distinct keys for [qid >= 0] and
+    [0 <= phase < max_phases], and key order is (qid, phase) order. *)
+val phase_key : qid:int -> phase:int -> int
+
 (** Validate and analyze a program; raises {!Invalid} with a description
     on malformed control flow, out-of-range registers, unpaired join
-    sides, or phase conflicts. *)
+    sides, phase conflicts, or more than {!max_phases} phases. *)
 val make : name:string -> steps:Step.t array -> n_registers:int -> entries:int array -> t
 
 val name : t -> string

@@ -47,22 +47,27 @@ let target t = t.target
 
 (* --- Worker-local weight coalescing --- *)
 
+(* Keyed by [Program.phase_key ~qid ~phase]: one int, so a merge hashes
+   no tuple and reads back no option. *)
 type coalescer = {
-  pending : (int * int, Weight.t) Hashtbl.t; (* (query, phase) -> merged weight *)
+  pending : Weight.t Int_table.t; (* packed (query, phase) -> merged weight *)
   mutable additions : int; (* total weight additions performed locally *)
   mutable pending_adds : int; (* additions since the last drain *)
 }
 
-let coalescer () = { pending = Hashtbl.create 8; additions = 0; pending_adds = 0 }
+let coalescer () = { pending = Int_table.create 8; additions = 0; pending_adds = 0 }
 
 let coalesce c ~qid ~phase w =
+  if qid < 0 || phase < 0 || phase >= Program.max_phases then
+    invalid_arg "Progress.coalesce: (qid, phase) out of range";
   c.additions <- c.additions + 1;
   c.pending_adds <- c.pending_adds + 1;
-  let key = (qid, phase) in
-  let acc = Option.value ~default:Weight.zero (Hashtbl.find_opt c.pending key) in
-  Hashtbl.replace c.pending key (Weight.add acc w)
+  let key = Program.phase_key ~qid ~phase in
+  match Int_table.find c.pending key with
+  | acc -> Int_table.replace c.pending key (Weight.add acc w)
+  | exception Not_found -> Int_table.add c.pending key w
 
-let is_empty c = Hashtbl.length c.pending = 0
+let is_empty c = Int_table.length c.pending = 0
 
 (* How many finished weights are merged but not yet shipped; workers flush
    when idle or when this passes their batching threshold, mirroring the
@@ -71,18 +76,15 @@ let pending_additions c = c.pending_adds
 
 (* Remove and return all merged weights, ready to be sent to trackers. *)
 let drain c =
-  (* det-ok: the collected triples are sorted below before shipping *)
-  let out = Hashtbl.fold (fun (qid, phase) w acc -> (qid, phase, w) :: acc) c.pending [] in
-  Hashtbl.reset c.pending;
+  (* det-ok: the collected pairs are sorted below before shipping *)
+  let out = Int_table.fold (fun key w acc -> (key, w) :: acc) c.pending [] in
+  Int_table.reset c.pending;
   c.pending_adds <- 0;
-  (* Deterministic shipping order: (qid, phase) is a unique key, so the
-     weight never participates in the comparison. *)
-  List.sort
-    (fun (q1, p1, _) (q2, p2, _) ->
-      match Int.compare q1 q2 with
-      | 0 -> Int.compare p1 p2
-      | c -> c)
-    out
+  (* Deterministic shipping order: keys are unique and their order is
+     (qid, phase) order, so the weight never participates. *)
+  List.map
+    (fun (key, w) -> (key / Program.max_phases, key mod Program.max_phases, w))
+    (List.sort (fun (k1, _) (k2, _) -> Int.compare k1 k2) out)
 
 let additions c = c.additions
 
@@ -93,9 +95,9 @@ let additions c = c.additions
    change when unrelated queries flush. *)
 let discard_query c ~qid =
   let doomed =
-    (* det-ok: fold order is erased by the sort on the int pairs below *)
-    Hashtbl.fold (fun (q, p) _ acc -> if q = qid then (q, p) :: acc else acc) c.pending []
-    |> List.sort (fun (q1, p1) (q2, p2) ->
-           match Int.compare q1 q2 with 0 -> Int.compare p1 p2 | c -> c)
+    (* det-ok: removal order cannot change what is left in the table *)
+    Int_table.fold
+      (fun key _ acc -> if key / Program.max_phases = qid then key :: acc else acc)
+      c.pending []
   in
-  List.iter (Hashtbl.remove c.pending) doomed
+  List.iter (Int_table.remove c.pending) doomed

@@ -35,14 +35,19 @@ val target : tracker -> Weight.t
 type coalescer
 
 val coalescer : unit -> coalescer
+
+(** Merge a finished weight into the [(qid, phase)] entry. Raises
+    [Invalid_argument] unless [qid >= 0] and
+    [0 <= phase < Program.max_phases]. *)
 val coalesce : coalescer -> qid:int -> phase:int -> Weight.t -> unit
+
 val is_empty : coalescer -> bool
 
 (** Finished weights merged since the last {!drain}. *)
 val pending_additions : coalescer -> int
 
-(** Remove all merged weights as [(qid, phase, weight)] triples in a
-    deterministic order. *)
+(** Remove all merged weights as [(qid, phase, weight)] triples in
+    ascending [(qid, phase)] order. *)
 val drain : coalescer -> (int * int * Weight.t) list
 
 (** Total local weight additions (each costs one integer add). *)

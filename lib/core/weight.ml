@@ -35,10 +35,11 @@ let split2 prng w =
   let r = random prng in
   (r, w - r)
 
-(* Same split written into a caller-owned buffer: the batched executor
+(* A split written into a caller-owned buffer: the batched executor
    splits once per frontier parent and reuses one buffer across them.
    The draws come from [Prng.fill_int63] — the same stream as repeated
-   [random] calls, minus the per-draw Int64 boxing. *)
+   [random] calls, minus the per-draw Int64 boxing — and [split] below
+   draws the same way. *)
 let split_into prng w out ~n =
   if n <= 0 then invalid_arg "Weight.split_into: n must be positive";
   if Array.length out < n then invalid_arg "Weight.split_into: buffer too small";
@@ -52,13 +53,7 @@ let split_into prng w out ~n =
 let split prng w ~n =
   if n <= 0 then invalid_arg "Weight.split: n must be positive";
   let shares = Array.make n 0 in
-  let remaining = ref w in
-  for i = 0 to n - 2 do
-    let r = random prng in
-    shares.(i) <- r;
-    remaining := !remaining - r
-  done;
-  shares.(n - 1) <- !remaining;
+  split_into prng w shares ~n;
   shares
 
 (* Serialized size of one weight in a progress message. *)

@@ -114,7 +114,7 @@ type worker = {
   mutable busy_until : Sim_time.t;
   mutable busy_total : Sim_time.t; (* accumulated CPU time *)
   mutable awake : bool; (* a quantum event is scheduled *)
-  members : int array Lazy.t; (* owned vertices, for Scan sources *)
+  scan : int option -> int array; (* Scan sources: owned vertices, by label *)
   (* Causal worker chain: the last execution node on this worker and its
      query, valid only while the worker has been continuously busy since
      (invalidated at every idle gap). When the chain is live and owned by
@@ -125,7 +125,7 @@ type worker = {
   (* Per-(qid, phase) causal node of the last execution that contributed
      finished weight to the coalescer since its last drain; the flushed
      progress message inherits it, so coalescer dwell is attributable. *)
-  cz_coalesce : (int * int, int) Hashtbl.t;
+  cz_coalesce : int Int_table.t; (* keyed by [Program.phase_key] *)
 }
 
 (* Build an open engine session ({!Engine.service_handle}): all state is
@@ -216,7 +216,7 @@ let create ?(options = default_options) ?(common = Engine.Common.default) ~clust
     | Some mon -> begin
       match
         Protocol.step mon
-          ~key:((qid * 1024) + phase)
+          ~key:(Program.phase_key ~qid ~phase)
           ~msg:(Protocol.msg (Lazy.force Protocol.tracker) name)
       with
       | None -> ()
@@ -268,6 +268,7 @@ let create ?(options = default_options) ?(common = Engine.Common.default) ~clust
   let node_memos = Array.init (Cluster.n_nodes cluster) (fun _ -> Memo.create ()) in
   let workers =
     Array.init n_workers (fun id ->
+        let members = lazy (Partition.members partition id) in
         {
           id;
           memo =
@@ -281,22 +282,32 @@ let create ?(options = default_options) ?(common = Engine.Common.default) ~clust
           awake = false;
           cz_last = -1;
           cz_last_qid = -1;
-          cz_coalesce = Hashtbl.create 4;
-          members = lazy (Partition.members partition id);
+          cz_coalesce = Int_table.create 4;
+          scan =
+            (fun label ->
+              let mine = Lazy.force members in
+              match label with
+              | None -> mine
+              | Some l ->
+                Array.of_seq (Seq.filter (Graph.has_vertex_label graph ~label:l) (Array.to_seq mine)));
         })
   in
-  let queries : (int, query_state) Hashtbl.t = Hashtbl.create 64 in
+  (* Indexed by qid: qids are dense from 0, one per submission. Each
+     slot's [Some] is built once, at submission, and [live] hands that
+     same block back, so a lookup allocates nothing. *)
+  let queries : query_state option Vec.t = Vec.create ~dummy:None in
   let query qid =
-    match Hashtbl.find_opt queries qid with
+    match Vec.get queries qid with
     | Some q -> q
-    | None -> invalid_arg (Fmt.str "Async_engine: unknown query %d" qid)
+    | None | (exception Invalid_argument _) ->
+      invalid_arg (Fmt.str "Async_engine: unknown query %d" qid)
   in
   (* The query if it is still live. A cancelled or timed-out query's
      stragglers (traversers, weights, partials, acks) are dropped: its
      trackers are already released, so feeding them would re-trigger
      completion machinery on a dead query. *)
   let live qid =
-    match Hashtbl.find_opt queries qid with
+    match Vec.get queries qid with
     | Some q as found when q.active -> found
     | _ -> None
   in
@@ -489,7 +500,7 @@ let create ?(options = default_options) ?(common = Engine.Common.default) ~clust
         (* The coalescer merges weights from many executions; the flushed
            message inherits the context of the *last* contributor, which
            is the one the tracker was actually waiting on. *)
-        if cz_on then Hashtbl.replace w.cz_coalesce (q.qid, phase) cz;
+        if cz_on then Int_table.replace w.cz_coalesce (Program.phase_key ~qid:q.qid ~phase) cz;
         (* The "slightly higher per-traverser progress tracking overhead"
            of §V-B: the weight addition plus the local hash merge. The
            dataflow flavors track progress per operator scope instead and
@@ -513,7 +524,7 @@ let create ?(options = default_options) ?(common = Engine.Common.default) ~clust
             (* Cancelled: the weight is reclaimed, not tracked — and its
                parked causal entry goes with it, or the (qid, phase) key
                would outlive the query for the rest of the run. *)
-            if cz_on then Hashtbl.remove w.cz_coalesce (qid, phase)
+            if cz_on then Int_table.remove w.cz_coalesce (Program.phase_key ~qid ~phase)
           | Some q ->
             (* Coalescer dwell shows up as a Tracker segment: the flush
                node sits between the last contributing execution and the
@@ -521,10 +532,11 @@ let create ?(options = default_options) ?(common = Engine.Common.default) ~clust
             let cz =
               if not cz_on then -1
               else begin
-                match Hashtbl.find_opt w.cz_coalesce (qid, phase) with
+                let key = Program.phase_key ~qid ~phase in
+                match Int_table.find_opt w.cz_coalesce key with
                 | None -> -1
                 | Some src ->
-                  Hashtbl.remove w.cz_coalesce (qid, phase);
+                  Int_table.remove w.cz_coalesce key;
                   Causal.hop causal ~src ~qid ~name:"progress-flush" ~ts:at Causal.Tracker
               end
             in
@@ -607,12 +619,6 @@ let create ?(options = default_options) ?(common = Engine.Common.default) ~clust
           Pstm_obs.Trace.instant trace ~tid:(Engine.query_track qid) ~name:"first_touch" ~ts:at
             ~args:[ ("worker", Pstm_obs.Trace.I w.id) ]
             ();
-        let scan label =
-          let mine = Lazy.force w.members in
-          match label with
-          | None -> mine
-          | Some l -> Array.of_seq (Seq.filter (Graph.has_vertex_label graph ~label:l) (Array.to_seq mine))
-        in
         Metrics.count_step metrics;
         (* Execution node. Incoming edges, binding last: the arrival /
            producer context first (its span is the queue wait), then —
@@ -626,7 +632,7 @@ let create ?(options = default_options) ?(common = Engine.Common.default) ~clust
         w.cz_last <- cz_exec;
         w.cz_last_qid <- qid;
         let outcome =
-          Exec.exec ~graph ~memo:w.memo ~prng:w.prng ~qid ~program:q.program ~scan trav
+          Exec.exec ~graph ~memo:w.memo ~prng:w.prng ~qid ~program:q.program ~scan:w.scan trav
         in
         if check && not (Exec.conserves trav outcome) then
           Engine.check_fail "async: query %d step %d (%s) broke weight conservation" qid
@@ -640,34 +646,19 @@ let create ?(options = default_options) ?(common = Engine.Common.default) ~clust
             ~finished:(not (Weight.is_zero outcome.Exec.finished))
             ~edges:outcome.Exec.edges_scanned ~memo_hits:outcome.Exec.memo_hits
             ~memo_misses:outcome.Exec.memo_misses ~busy_ns:(Sim_time.to_ns base_cost);
-        let cost = ref base_cost in
-        List.iter
-          (fun child ->
-            Metrics.count_spawn metrics;
-            cost := Sim_time.add !cost (dispatch_trav ~at ~src:w.id ~cz:cz_exec q child))
-          outcome.Exec.spawns;
-        (* Rows are only produced by Emit, which routes to the coordinator
-           first — so they land here, at the coordinator itself. *)
-        List.iter
-          (fun (row, weight) ->
-            assert (w.id = q.coordinator);
-            Vec.push q.rows row;
-            cost :=
-              Sim_time.add !cost
-                (tracker_receive ~at ~cz:cz_exec w q
-                   (Program.phase_of_step q.program trav.step)
-                   weight))
-          outcome.Exec.rows;
-        if not (Weight.is_zero outcome.Exec.finished) then
-          cost :=
-            Sim_time.add !cost
-              (finish_weight ~at ~cz:cz_exec w q (Program.phase_of_step q.program trav.step)
-                 outcome.Exec.finished);
+        let phase = Program.phase_of_step q.program trav.step in
+        let cost = dispatch_all ~at ~cz:cz_exec w q base_cost outcome.Exec.spawns in
+        let cost = receive_rows ~at ~cz:cz_exec w q phase cost outcome.Exec.rows in
+        let cost =
+          if Weight.is_zero outcome.Exec.finished then cost
+          else
+            Sim_time.add cost (finish_weight ~at ~cz:cz_exec w q phase outcome.Exec.finished)
+        in
         if obs_on then
-          Pstm_obs.Trace.span trace ~tid:w.id ~name:op_name ~ts:at ~dur:!cost
+          Pstm_obs.Trace.span trace ~tid:w.id ~name:op_name ~ts:at ~dur:cost
             ~args:[ ("qid", Pstm_obs.Trace.I qid); ("step", Pstm_obs.Trace.I trav.Traverser.step) ]
             ();
-        !cost
+        cost
     end
     | P_progress { qid; phase; weight; cz } -> begin
       match live qid with
@@ -753,6 +744,25 @@ let create ?(options = default_options) ?(common = Engine.Common.default) ~clust
         end
         else costs.Cluster.operator_sched
     end
+  (* [process]'s fan-out loops, written as direct recursion so a step
+     allocates no iteration closure: route each child, adding its send
+     cost to [cost]... *)
+  and dispatch_all ~at ~cz w q cost = function
+    | [] -> cost
+    | child :: rest ->
+      Metrics.count_spawn metrics;
+      dispatch_all ~at ~cz w q (Sim_time.add cost (dispatch_trav ~at ~src:w.id ~cz q child)) rest
+  (* ... and feed each emitted row's weight to the phase tracker. Rows are
+     only produced by Emit, which routes to the coordinator first — so
+     they land here, at the coordinator itself. *)
+  and receive_rows ~at ~cz w q phase cost = function
+    | [] -> cost
+    | (row, weight) :: rest ->
+      assert (w.id = q.coordinator);
+      Vec.push q.rows row;
+      receive_rows ~at ~cz w q phase
+        (Sim_time.add cost (tracker_receive ~at ~cz w q phase weight))
+        rest
   (* ---- Worker scheduling loop ------------------------------------------- *)
   and launch_entries ~at ~cz q =
     let entries = Program.entries q.program in
@@ -878,7 +888,7 @@ let create ?(options = default_options) ?(common = Engine.Common.default) ~clust
           Progress.discard_query w.coalescer ~qid;
           if cz_on then
             for phase = 0 to Program.n_phases q.program - 1 do
-              Hashtbl.remove w.cz_coalesce (qid, phase)
+              Int_table.remove w.cz_coalesce (Program.phase_key ~qid ~phase)
             done)
         workers;
       if obs_on then
@@ -915,7 +925,7 @@ let create ?(options = default_options) ?(common = Engine.Common.default) ~clust
         setup_acks = 0;
       }
     in
-    Hashtbl.add queries qid q;
+    Vec.push queries (Some q);
     (* A submission whose arrival is already in the past (a service
        dispatching a queued query) launches immediately; latency still
        measures from [s.at], so queue wait counts against the SLO. *)
@@ -1022,7 +1032,7 @@ let create ?(options = default_options) ?(common = Engine.Common.default) ~clust
         (fun w ->
           if not (Progress.is_empty w.coalescer) then
             Engine.check_fail "async: worker %d holds unflushed coalesced weight at finish" w.id;
-          let n = Hashtbl.length w.cz_coalesce in
+          let n = Int_table.length w.cz_coalesce in
           if n > 0 then
             Engine.check_fail "async: worker %d strands %d coalescer causal entries" w.id n)
         workers;

@@ -35,52 +35,81 @@ let no_effect =
     memo_misses = 0;
   }
 
-(* Split [weight] over [children] (traversers built without weights). *)
-let distribute prng weight children k =
-  match children with
-  | [] -> { no_effect with finished = weight }
-  | [ child ] -> k [ Traverser.with_weight child weight ]
-  | _ ->
-    let n = List.length children in
-    let shares = Weight.split prng weight ~n in
-    k (List.mapi (fun i child -> Traverser.with_weight child shares.(i)) children)
+(* A step with no children finishes its whole weight and reports no
+   work done. *)
+let finished (t : Traverser.t) = { no_effect with finished = t.weight }
+
+(* [children] (a non-empty list) with [weight] split over them, in order.
+   A lone child takes the whole weight without a draw. *)
+let rec reweigh shares i = function
+  | [] -> []
+  | child :: rest -> Traverser.with_weight child shares.(i) :: reweigh shares (i + 1) rest
+
+let distribute prng weight = function
+  | [ child ] -> [ Traverser.with_weight child weight ]
+  | children -> reweigh (Weight.split prng weight ~n:(List.length children)) 0 children
+
+(* The [n >= 1] children of [t] moved to [vertex 0 .. vertex (n-1)] at
+   [step], each built once with its share of [t.weight] (the same shares,
+   in the same order, as [distribute]) and consed back to front. *)
+let moves prng (t : Traverser.t) ~step ~n vertex =
+  if n = 1 then [ Traverser.move t ~vertex:(vertex 0) ~step ~weight:t.weight ]
+  else begin
+    let shares = Weight.split prng t.weight ~n in
+    let spawns = ref [] in
+    for i = n - 1 downto 0 do
+      spawns := Traverser.move t ~vertex:(vertex i) ~step ~weight:shares.(i) :: !spawns
+    done;
+    !spawns
+  end
+
+(* Expand's targets, collected into one buffer reused across calls. [exec]
+   never re-enters itself (the adjacency callback only pushes), and the
+   two functions below close over nothing, so an Expand allocates only
+   its children. *)
+let targets = Vec.create ~dummy:0
+let push_target ~target ~edge_id:_ ~label:_ = Vec.push targets target
+let target i = Vec.get targets i
 
 let exec ~graph ~memo ~prng ~qid ~program ~scan (t : Traverser.t) =
   let step = Program.step program t.step in
-  let eval e = Step.eval_expr graph ~vertex:t.vertex ~regs:t.regs e in
   match step.Step.op with
   | Step.Index_lookup { vertex_label; key; value } ->
     let vertices = Graph.index_lookup graph ?vertex_label ~key value in
-    let children =
-      Array.to_list
-        (Array.map (fun v -> Traverser.move t ~vertex:v ~step:step.next ~weight:Weight.zero) vertices)
-    in
-    let hit = if Array.length vertices > 0 then 1 else 0 in
-    distribute prng t.weight children (fun spawns ->
-        { no_effect with spawns; memo_ops = 1; prop_reads = 1; memo_hits = hit; memo_misses = 1 - hit })
+    let n = Array.length vertices in
+    if n = 0 then finished t
+    else
+      {
+        no_effect with
+        spawns = moves prng t ~step:step.next ~n (Array.get vertices);
+        memo_ops = 1;
+        prop_reads = 1;
+        memo_hits = 1;
+      }
   | Step.Scan { vertex_label } ->
     let vertices = scan vertex_label in
-    let children =
-      Array.to_list
-        (Array.map (fun v -> Traverser.move t ~vertex:v ~step:step.next ~weight:Weight.zero) vertices)
-    in
-    distribute prng t.weight children (fun spawns ->
-        { no_effect with spawns; edges_scanned = Array.length vertices })
+    let n = Array.length vertices in
+    if n = 0 then finished t
+    else
+      { no_effect with spawns = moves prng t ~step:step.next ~n (Array.get vertices); edges_scanned = n }
   | Step.Expand { dir; edge_label } ->
-    let children = ref [] in
-    Graph.iter_adjacent graph ~dir ?label:edge_label t.vertex
-      (fun ~target ~edge_id:_ ~label:_ ->
-        children := Traverser.move t ~vertex:target ~step:step.next ~weight:Weight.zero :: !children);
-    let scanned = Graph.degree graph ~dir t.vertex in
-    distribute prng t.weight (List.rev !children) (fun spawns ->
-        { no_effect with spawns; edges_scanned = scanned })
+    Vec.clear targets;
+    Graph.iter_adjacent graph ~dir ?label:edge_label t.vertex push_target;
+    let n = Vec.length targets in
+    if n = 0 then finished t
+    else
+      {
+        no_effect with
+        spawns = moves prng t ~step:step.next ~n target;
+        edges_scanned = Graph.degree graph ~dir t.vertex;
+      }
   | Step.Filter pred ->
     let reads = Step.pred_prop_reads pred in
     if Step.eval_pred graph ~vertex:t.vertex ~regs:t.regs pred then
       { no_effect with spawns = [ Traverser.at_step t step.next ]; prop_reads = reads }
     else { no_effect with finished = t.weight; prop_reads = reads }
   | Step.Set_reg { reg; expr } ->
-    let t' = Traverser.set_reg t reg (eval expr) in
+    let t' = Traverser.set_reg t reg (Step.eval_expr graph ~vertex:t.vertex ~regs:t.regs expr) in
     {
       no_effect with
       spawns = [ Traverser.at_step t' step.next ];
@@ -90,7 +119,7 @@ let exec ~graph ~memo ~prng ~qid ~program ~scan (t : Traverser.t) =
     let target = Value.vertex_exn t.regs.(reg) in
     { no_effect with spawns = [ Traverser.move t ~vertex:target ~step:step.next ~weight:t.weight ] }
   | Step.Dedup { by } ->
-    let key = eval by in
+    let key = Step.eval_expr graph ~vertex:t.vertex ~regs:t.regs by in
     let fresh = Memo.add_if_absent memo ~qid ~label:t.step key in
     let reads = Step.expr_prop_reads by in
     if fresh then
@@ -122,33 +151,49 @@ let exec ~graph ~memo ~prng ~qid ~program ~scan (t : Traverser.t) =
         if emit_improved then Traverser.at_step t cont :: base else base
       | Memo.Not_improved -> []
     in
-    let hit = match outcome with Memo.First_visit -> 0 | Memo.Improved | Memo.Not_improved -> 1 in
-    distribute prng t.weight children (fun spawns ->
-        { no_effect with spawns; memo_ops = 1; memo_hits = hit; memo_misses = 1 - hit })
+    begin
+      match children with
+      | [] -> finished t
+      | _ ->
+        let hit = match outcome with Memo.First_visit -> 0 | Memo.Improved | Memo.Not_improved -> 1 in
+        {
+          no_effect with
+          spawns = distribute prng t.weight children;
+          memo_ops = 1;
+          memo_hits = hit;
+          memo_misses = 1 - hit;
+        }
+    end
   | Step.Join { key; store; load_regs; cont; _ } ->
+    let eval e = Step.eval_expr graph ~vertex:t.vertex ~regs:t.regs e in
     let key_value = eval key in
     let payload = Array.map eval store in
     let partner = Program.join_partner program t.step in
     Memo.rows_add memo ~qid ~label:t.step key_value payload;
     let matches = Memo.rows_get memo ~qid ~label:partner key_value in
-    let children =
-      List.map
-        (fun row ->
-          let pairs = List.mapi (fun i reg -> (reg, row.(i))) (Array.to_list load_regs) in
-          Traverser.at_step (Traverser.set_regs t pairs) cont)
-        matches
-    in
-    let reads = Step.expr_prop_reads key + Array.fold_left (fun a e -> a + Step.expr_prop_reads e) 0 store in
-    let n_matches = List.length matches in
-    distribute prng t.weight children (fun spawns ->
+    begin
+      match matches with
+      | [] -> finished t
+      | _ ->
+        let children =
+          List.map
+            (fun row ->
+              let pairs = List.mapi (fun i reg -> (reg, row.(i))) (Array.to_list load_regs) in
+              Traverser.at_step (Traverser.set_regs t pairs) cont)
+            matches
+        in
+        let reads =
+          Step.expr_prop_reads key
+          + Array.fold_left (fun a e -> a + Step.expr_prop_reads e) 0 store
+        in
         {
           no_effect with
-          spawns;
+          spawns = distribute prng t.weight children;
           prop_reads = reads;
           memo_ops = 2;
-          memo_hits = n_matches;
-          memo_misses = (if n_matches = 0 then 1 else 0);
-        })
+          memo_hits = List.length matches;
+        }
+    end
   | Step.Aggregate { agg; reg = _ } ->
     let partial = Memo.partial memo ~qid ~label:t.step agg in
     Aggregate.accumulate agg partial graph ~vertex:t.vertex ~regs:t.regs;
@@ -159,7 +204,7 @@ let exec ~graph ~memo ~prng ~qid ~program ~scan (t : Traverser.t) =
       memo_ops = 1;
     }
   | Step.Emit exprs ->
-    let row = Array.map eval exprs in
+    let row = Array.map (Step.eval_expr graph ~vertex:t.vertex ~regs:t.regs) exprs in
     {
       no_effect with
       rows = [ (row, t.weight) ];

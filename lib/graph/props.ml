@@ -13,34 +13,33 @@ type column =
 
 type t = {
   size : int; (* number of rows (vertices or edges) *)
-  columns : (int, column) Hashtbl.t; (* keyed by interned property-key id *)
+  columns : column Int_table.t; (* keyed by interned property-key id *)
 }
 
-let create ~size = { size; columns = Hashtbl.create 16 }
+let create ~size = { size; columns = Int_table.create 16 }
 
 let size t = t.size
 
-let has_key t key = Hashtbl.mem t.columns key
+let has_key t key = Int_table.mem t.columns key
 
 let keys t =
   (* det-ok: keys sorted so callers see a stable enumeration *)
-  List.sort Int.compare (Hashtbl.fold (fun k _ acc -> k :: acc) t.columns [])
+  List.sort Int.compare (Int_table.fold (fun k _ acc -> k :: acc) t.columns [])
 
 let get t ~key id =
   if id < 0 || id >= t.size then invalid_arg "Props.get: row out of range";
-  match Hashtbl.find_opt t.columns key with
-  | None -> Value.Null
-  | Some (Ints (data, valid)) -> if Bitset.mem valid id then Value.Int data.(id) else Value.Null
-  | Some (Floats (data, valid)) ->
-    if Bitset.mem valid id then Value.Float data.(id) else Value.Null
-  | Some (Strs (data, valid)) -> if Bitset.mem valid id then Value.Str data.(id) else Value.Null
-  | Some (Mixed data) -> data.(id)
+  match Int_table.find t.columns key with
+  | exception Not_found -> Value.Null
+  | Ints (data, valid) -> if Bitset.mem valid id then Value.Int data.(id) else Value.Null
+  | Floats (data, valid) -> if Bitset.mem valid id then Value.Float data.(id) else Value.Null
+  | Strs (data, valid) -> if Bitset.mem valid id then Value.Str data.(id) else Value.Null
+  | Mixed data -> data.(id)
 
 let get_int t ~key id =
-  match Hashtbl.find_opt t.columns key with
-  | Some (Ints (data, valid)) when Bitset.mem valid id -> Some data.(id)
-  | Some _ -> Value.to_int (get t ~key id)
-  | None -> None
+  match Int_table.find t.columns key with
+  | exception Not_found -> None
+  | Ints (data, valid) when Bitset.mem valid id -> Some data.(id)
+  | _ -> Value.to_int (get t ~key id)
 
 (* Materialize a column from sparse (row, value) pairs. The column is
    specialized when every present value has the same primitive shape. *)
@@ -83,7 +82,7 @@ let column_of_pairs ~size pairs =
     Mixed data
   end
 
-let set_column t ~key column = Hashtbl.replace t.columns key column
+let set_column t ~key column = Int_table.replace t.columns key column
 
 let of_sparse ~size sparse =
   let t = create ~size in
@@ -100,4 +99,4 @@ let column_bytes = function
   | Mixed data -> Array.fold_left (fun acc v -> acc + 8 + Value.bytes v) 0 data
 
 (* det-ok: commutative sum over columns *)
-let bytes t = Hashtbl.fold (fun _ col acc -> acc + column_bytes col) t.columns 0
+let bytes t = Int_table.fold (fun _ col acc -> acc + column_bytes col) t.columns 0

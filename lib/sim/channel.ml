@@ -238,7 +238,7 @@ let to_combiner t ~at ~src_node ~dst_node messages bytes =
           t.window_open.(src_node).(dst_node) <- false;
           let batch = t.pending.(src_node).(dst_node) in
           if not (Vec.is_empty batch) then begin
-            let copy = Vec.of_array ~dummy:(Vec.get batch 0) (Vec.to_array batch) in
+            let copy = Vec.copy batch in
             let batch_bytes = t.pending_bytes.(src_node).(dst_node) in
             Vec.clear batch;
             t.pending_bytes.(src_node).(dst_node) <- 0;
@@ -257,7 +257,7 @@ let flush_buffer t ~at ~worker ~dst_node =
   let buffer = t.buffers.(worker).(dst_node) in
   if Vec.is_empty buffer then Sim_time.zero
   else begin
-    let messages = Vec.of_array ~dummy:(Vec.get buffer 0) (Vec.to_array buffer) in
+    let messages = Vec.copy buffer in
     let bytes = t.buffer_bytes.(worker).(dst_node) in
     Vec.clear buffer;
     t.buffer_bytes.(worker).(dst_node) <- 0;

@@ -28,8 +28,12 @@ type choice = {
 
 type chooser = choice array -> int
 
+(* The heap is inline rather than a generic [Heap.t]: the (time, seq)
+   order is a direct int comparison instead of a closure call, and the
+   pop path hands back the entry itself, never an option. *)
 type t = {
-  heap : entry Heap.t;
+  mutable heap : entry array; (* binary min-heap in [heap.(0 .. len-1)] *)
+  mutable len : int;
   mutable now : Sim_time.t;
   mutable next_seq : int;
   mutable executed : int;
@@ -38,35 +42,71 @@ type t = {
 
 let dummy_entry = { time = 0; seq = 0; tag = 0; action = ignore }
 
-let compare_entry a b =
-  let c = Sim_time.compare a.time b.time in
-  if c <> 0 then c else Int.compare a.seq b.seq
+(* (time, seq) order; seqs are unique, so this is total. *)
+let before a b = a.time < b.time || (a.time = b.time && a.seq < b.seq)
 
-let create () =
-  {
-    heap = Heap.create ~cmp:compare_entry ~dummy:dummy_entry;
-    now = 0;
-    next_seq = 0;
-    executed = 0;
-    chooser = None;
-  }
+let create () = { heap = [||]; len = 0; now = 0; next_seq = 0; executed = 0; chooser = None }
 
 let now t = t.now
 
 let executed t = t.executed
 
-let pending t = Heap.length t.heap
+let pending t = t.len
 
 let next_seq t = t.next_seq
 
 let set_chooser t chooser = t.chooser <- chooser
+
+let push t e =
+  if t.len = Array.length t.heap then begin
+    let heap = Array.make (max 8 (2 * t.len)) dummy_entry in
+    Array.blit t.heap 0 heap 0 t.len;
+    t.heap <- heap
+  end;
+  let heap = t.heap in
+  let i = ref t.len in
+  t.len <- t.len + 1;
+  while !i > 0 && before e heap.((!i - 1) / 2) do
+    let parent = (!i - 1) / 2 in
+    heap.(!i) <- heap.(parent);
+    i := parent
+  done;
+  heap.(!i) <- e
+
+(* Remove and return the minimum; the caller checks [len > 0]. *)
+let pop_min t =
+  let heap = t.heap in
+  let top = heap.(0) in
+  let n = t.len - 1 in
+  t.len <- n;
+  let last = heap.(n) in
+  heap.(n) <- dummy_entry;
+  if n > 0 then begin
+    let i = ref 0 in
+    let continue = ref true in
+    while !continue do
+      let l = (2 * !i) + 1 in
+      if l >= n then continue := false
+      else begin
+        let r = l + 1 in
+        let c = if r < n && before heap.(r) heap.(l) then r else l in
+        if before heap.(c) last then begin
+          heap.(!i) <- heap.(c);
+          i := c
+        end
+        else continue := false
+      end
+    done;
+    heap.(!i) <- last
+  end;
+  top
 
 let schedule_at ?(tag = 0) t ~time action =
   if Sim_time.compare time t.now < 0 then
     invalid_arg
       (Fmt.str "Event_queue.schedule_at: time %a is in the past (now %a)" Sim_time.pp time
          Sim_time.pp t.now);
-  Heap.push t.heap { time; seq = t.next_seq; tag; action };
+  push t { time; seq = t.next_seq; tag; action };
   t.next_seq <- t.next_seq + 1
 
 let schedule_after ?tag t ~delay action = schedule_at ?tag t ~time:(Sim_time.add t.now delay) action
@@ -77,9 +117,9 @@ let exec t entry =
   entry.action ()
 
 let step t =
-  match Heap.pop_opt t.heap with
-  | None -> false
-  | Some entry -> begin
+  if t.len = 0 then false
+  else begin
+    let entry = pop_min t in
     match t.chooser with
     | None ->
       exec t entry;
@@ -89,14 +129,9 @@ let step t =
          tied batch is already in insertion order. *)
       let tied = ref [ entry ] in
       let n = ref 1 in
-      let more = ref true in
-      while !more do
-        match Heap.peek t.heap with
-        | Some e when Sim_time.compare e.time entry.time = 0 ->
-          ignore (Heap.pop_opt t.heap);
-          tied := e :: !tied;
-          incr n
-        | _ -> more := false
+      while t.len > 0 && t.heap.(0).time = entry.time do
+        tied := pop_min t :: !tied;
+        incr n
       done;
       if !n = 1 then begin
         exec t entry;
@@ -108,7 +143,7 @@ let step t =
         let choices = Array.map (fun e -> { c_seq = e.seq; c_tag = e.tag }) batch in
         let pick = choose choices in
         let pick = if pick < 0 || pick >= !n then 0 else pick in
-        Array.iteri (fun i e -> if i <> pick then Heap.push t.heap e) batch;
+        Array.iteri (fun i e -> if i <> pick then push t e) batch;
         exec t batch.(pick);
         true
       end
@@ -125,13 +160,7 @@ let run_to_completion ?(max_events = 2_000_000_000) t =
 
 let run_until t ~time =
   let continue = ref true in
-  while
-    !continue
-    &&
-    match Heap.peek t.heap with
-    | Some entry when Sim_time.compare entry.time time <= 0 -> true
-    | _ -> false
-  do
+  while !continue && t.len > 0 && Sim_time.compare t.heap.(0).time time <= 0 do
     continue := step t
   done;
   if Sim_time.compare t.now time < 0 then t.now <- time

@@ -1,8 +1,8 @@
-(* Binary min-heap over an explicit ordering.
+(* Binary min-heap over an explicit ordering, fixed at creation.
 
-   Used by the discrete-event queue (million-event simulations) and by the
-   bounded top-k selector, so it avoids closures in the hot path by taking
-   the comparison at creation time. *)
+   Used by the bounded top-k selector. The discrete-event queue keeps its
+   own inline heap on (time, seq), so its hot path pays neither a closure
+   comparison nor an option per pop. *)
 
 type 'a t = {
   cmp : 'a -> 'a -> int;
@@ -70,8 +70,6 @@ let push t x =
   t.len <- t.len + 1;
   sift_up t (t.len - 1)
 
-let peek t = if t.len = 0 then None else Some t.data.(0)
-
 let peek_exn t =
   if t.len = 0 then invalid_arg "Heap.peek_exn: empty";
   t.data.(0)
@@ -87,8 +85,6 @@ let pop t =
   end
   else t.data.(t.len) <- t.dummy;
   top
-
-let pop_opt t = if t.len = 0 then None else Some (pop t)
 
 let to_sorted_list t =
   let copy = { t with data = Array.copy t.data } in

@@ -8,15 +8,11 @@ val is_empty : 'a t -> bool
 val clear : 'a t -> unit
 val push : 'a t -> 'a -> unit
 
-(** Smallest element without removing it. *)
-val peek : 'a t -> 'a option
-
+(** Smallest element without removing it. Raises on empty. *)
 val peek_exn : 'a t -> 'a
 
 (** Remove and return the smallest element. Raises on empty. *)
 val pop : 'a t -> 'a
-
-val pop_opt : 'a t -> 'a option
 
 (** Non-destructive ascending drain, for tests. *)
 val to_sorted_list : 'a t -> 'a list

@@ -88,6 +88,8 @@ let to_list t = Array.to_list (to_array t)
 let of_array ~dummy arr =
   { data = Array.copy arr; len = Array.length arr; dummy }
 
+let copy t = { data = Array.sub t.data 0 t.len; len = t.len; dummy = t.dummy }
+
 let append ~into t =
   ensure_capacity into (into.len + t.len);
   Array.blit t.data 0 into.data into.len t.len;

@@ -32,6 +32,10 @@ val to_array : 'a t -> 'a array
 val to_list : 'a t -> 'a list
 val of_array : dummy:'a -> 'a array -> 'a t
 
+(** Independent vector holding the same elements, with capacity trimmed
+    to its length (one array copy). *)
+val copy : 'a t -> 'a t
+
 (** [append ~into src] pushes all of [src] onto [into]. *)
 val append : into:'a t -> 'a t -> unit
 

@@ -90,6 +90,76 @@ let test_coalescer_merges () =
   Alcotest.(check bool) "empty after drain" true (Progress.is_empty c);
   Alcotest.(check int) "pending reset" 0 (Progress.pending_additions c)
 
+(* Model test: random interleavings of coalesce / drain / discard_query
+   over many (qid, phase) keys, against a sorted association list. Every
+   drain must return exactly the model's entries, in (qid, phase) order,
+   with the merged weights; a discarded query's keys must never come back
+   unless they are coalesced again. *)
+type coalescer_op =
+  | Merge of int * int * Weight.t
+  | Drain
+  | Discard of int
+
+let coalescer_ops =
+  let open QCheck.Gen in
+  let phase =
+    oneof [ int_range 0 3; return (Program.max_phases - 1); int_range 0 (Program.max_phases - 1) ]
+  in
+  let op =
+    frequency
+      [
+        ( 8,
+          map3
+            (fun q p seed -> Merge (q, p, Weight.random (Prng.create seed)))
+            (int_range 0 40) phase int );
+        (1, return Drain);
+        (1, map (fun q -> Discard q) (int_range 0 40));
+      ]
+  in
+  let print = function
+    | Merge (q, p, w) -> Fmt.str "merge(%d,%d,%a)" q p Weight.pp w
+    | Drain -> "drain"
+    | Discard q -> Fmt.str "discard(%d)" q
+  in
+  QCheck.make ~print:(QCheck.Print.list print) (list_size (int_range 0 300) op)
+
+let coalescer_matches_model =
+  QCheck.Test.make ~name:"coalescer matches a sorted-list model" ~count:300 coalescer_ops
+    (fun ops ->
+      let c = Progress.coalescer () in
+      let key_compare ((q1, p1), _) ((q2, p2), _) =
+        match Int.compare q1 q2 with 0 -> Int.compare p1 p2 | d -> d
+      in
+      let check_drain model =
+        let drained = Progress.drain c in
+        List.length drained = List.length model
+        && List.for_all2
+             (fun (q, p, w) ((q', p'), w') -> q = q' && p = p' && Weight.equal w w')
+             drained model
+        && Progress.is_empty c
+      in
+      let rec go model = function
+        | [] -> check_drain model
+        | Merge (q, p, w) :: rest ->
+          Progress.coalesce c ~qid:q ~phase:p w;
+          let prev = Option.value ~default:Weight.zero (List.assoc_opt (q, p) model) in
+          go (List.sort key_compare (((q, p), Weight.add prev w) :: List.remove_assoc (q, p) model)) rest
+        | Drain :: rest -> check_drain model && go [] rest
+        | Discard q :: rest ->
+          Progress.discard_query c ~qid:q;
+          go (List.filter (fun ((q', _), _) -> q' <> q) model) rest
+      in
+      go [] ops)
+
+let test_coalescer_rejects_out_of_range_phase () =
+  let c = Progress.coalescer () in
+  Alcotest.check_raises "phase at the bound"
+    (Invalid_argument "Progress.coalesce: (qid, phase) out of range") (fun () ->
+      Progress.coalesce c ~qid:0 ~phase:Program.max_phases Weight.root);
+  Alcotest.check_raises "negative qid"
+    (Invalid_argument "Progress.coalesce: (qid, phase) out of range") (fun () ->
+      Progress.coalesce c ~qid:(-1) ~phase:0 Weight.root)
+
 (* --- Traverser --- *)
 
 let test_traverser_copy_on_write () =
@@ -275,6 +345,31 @@ let test_program_join_partner () =
   Alcotest.(check int) "partner of A" 3 (Program.join_partner p 1);
   Alcotest.(check int) "partner of B" 1 (Program.join_partner p 3)
 
+(* A source, [n_aggs] chained aggregates (each opens a phase), an emit:
+   [n_aggs + 1] phases. *)
+let aggregate_chain n_aggs =
+  Array.init (n_aggs + 2) (fun i ->
+      if i = 0 then source_step 1
+      else if i <= n_aggs then { Step.op = Step.Aggregate { agg = Step.Count; reg = 0 }; next = i + 1 }
+      else { Step.op = Step.Emit [| Step.Reg 0 |]; next = -1 })
+
+let test_program_phase_bound () =
+  let at_bound =
+    Program.make ~name:"at-bound" ~steps:(aggregate_chain (Program.max_phases - 1)) ~n_registers:1
+      ~entries:[| 0 |]
+  in
+  Alcotest.(check int) "max_phases phases accepted" Program.max_phases (Program.n_phases at_bound);
+  match
+    Program.make ~name:"past-bound" ~steps:(aggregate_chain Program.max_phases) ~n_registers:1
+      ~entries:[| 0 |]
+  with
+  | _ -> Alcotest.fail "expected Program.Invalid past max_phases"
+  | exception Program.Invalid msg ->
+    Alcotest.(check string) "clear error"
+      (Fmt.str "program has %d phases; at most %d are supported" (Program.max_phases + 1)
+         Program.max_phases)
+      msg
+
 let invalid_cases =
   [
     check_invalid "empty program" [||] ~entries:[| 0 |] ~n_registers:0;
@@ -361,6 +456,8 @@ let () =
         [
           Alcotest.test_case "tracker completes once" `Quick test_tracker_completes_exactly_once;
           Alcotest.test_case "coalescer merges" `Quick test_coalescer_merges;
+          Alcotest.test_case "coalescer phase bound" `Quick test_coalescer_rejects_out_of_range_phase;
+          qcheck coalescer_matches_model;
         ] );
       ("traverser", [ Alcotest.test_case "copy on write" `Quick test_traverser_copy_on_write ]);
       ( "memo",
@@ -385,6 +482,7 @@ let () =
           Alcotest.test_case "valid" `Quick test_program_valid;
           Alcotest.test_case "phases" `Quick test_program_phases;
           Alcotest.test_case "join partner" `Quick test_program_join_partner;
+          Alcotest.test_case "phase bound" `Quick test_program_phase_bound;
         ]
         @ invalid_cases );
       ("step", [ Alcotest.test_case "eval" `Quick test_step_eval ]);

@@ -323,6 +323,33 @@ let test_wc_off_sends_more_progress () =
   in
   Alcotest.(check bool) "coalescing reduces tracker messages" true (progress false > progress true)
 
+(* Allocation guard for the async engine's per-step path: minor-heap
+   words per executed traverser step on a fixed workload (16 concurrent
+   2-hop counts on tiny through the shipped graphdance engine, 3 x 3
+   workers, warm second run). The count is deterministic for a given
+   compiler; it was 48.6 words/step when the budget was set to that plus
+   15%, so a regression cannot creep in unnoticed. The GC is read here,
+   in the test; lib/ never reads it. *)
+let words_per_step_budget = 56.0
+
+let test_step_allocation_budget () =
+  let graph = Pstm_gen.Datasets.load Pstm_gen.Datasets.tiny in
+  let program = khop_program graph 2 in
+  let (module E : Engine.S) =
+    Registry.find_exn ~registry:(Registry.make ~cluster_config:small_cluster ()) "graphdance"
+  in
+  let submissions = Array.init 16 (fun i -> Engine.submit ~at:(Sim_time.us i) program) in
+  ignore (E.run ~graph submissions);
+  let before = Gc.minor_words () in
+  let report = E.run ~graph submissions in
+  let words = Gc.minor_words () -. before in
+  let steps = Metrics.steps report.Engine.metrics in
+  Alcotest.(check bool) "all complete" true (Engine.all_completed report);
+  let per_step = words /. float_of_int steps in
+  if per_step > words_per_step_budget then
+    Alcotest.failf "%.1f minor words per step (%d steps) exceeds the budget of %.1f" per_step steps
+      words_per_step_budget
+
 let () =
   Alcotest.run "engines"
     [
@@ -340,6 +367,7 @@ let () =
           Alcotest.test_case "bsp profiles agree" `Quick test_bsp_profiles_same_rows;
           Alcotest.test_case "tigergraph profile slower" `Quick test_tigergraph_profile_slower;
           Alcotest.test_case "single node" `Quick test_single_node_engine;
+          Alcotest.test_case "step allocation budget" `Quick test_step_allocation_budget;
           Alcotest.test_case "worker busy reported" `Quick test_worker_busy_reported;
           Alcotest.test_case "wc off sends more progress" `Quick test_wc_off_sends_more_progress;
         ] );

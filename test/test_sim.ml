@@ -252,6 +252,71 @@ let event_order_random =
       Event_queue.run_to_completion q;
       List.rev !log = List.sort compare times)
 
+(* Run a random schedule of [(time, tag, follow)] entries, all scheduled
+   up front. Entry [i] logs [i] when it fires and, when [follow >= 0],
+   schedules a follow-up [follow] ns later that logs [-1 - i] (a follow
+   of 0 makes a fresh tie at the current time). Returns the fire log, the
+   fire times, and every batch the chooser (if any) was shown. *)
+let run_schedule ?chooser entries =
+  let q = Event_queue.create () in
+  let log = ref [] and times = ref [] and batches = ref [] in
+  Option.iter
+    (fun choose ->
+      Event_queue.set_chooser q
+        (Some
+           (fun choices ->
+             batches := choices :: !batches;
+             choose choices)))
+    chooser;
+  let fire id () =
+    log := id :: !log;
+    times := Event_queue.now q :: !times
+  in
+  List.iteri
+    (fun i (time, tag, follow) ->
+      Event_queue.schedule_at q ~time ~tag (fun () ->
+          fire i ();
+          if follow >= 0 then Event_queue.schedule_after q ~tag ~delay:follow (fire (-1 - i))))
+    entries;
+  Event_queue.run_to_completion q;
+  (List.rev !log, List.rev !times, List.rev !batches)
+
+let ascending_seqs batch =
+  let ok = ref true in
+  for i = 1 to Array.length batch - 1 do
+    if batch.(i - 1).Event_queue.c_seq >= batch.(i).Event_queue.c_seq then ok := false
+  done;
+  !ok
+
+(* The event heap's order contract: without follow-ups the fire order is
+   the schedule sorted by (time, seq) — seq being the schedule index — a
+   chooser that always declines to reorder reproduces the chooser-free
+   run exactly, and every tied batch shown to a chooser (including after
+   unpicked entries were pushed back) is in ascending seq. *)
+let event_queue_order =
+  QCheck.Test.make ~name:"event queue fires in (time, seq) order" ~count:300
+    QCheck.(
+      list_of_size (Gen.int_range 0 80) (triple (int_range 0 40) (int_range 0 3) (int_range (-1) 3)))
+    (fun entries ->
+      let flat = List.map (fun (time, tag, _) -> (time, tag, -1)) entries in
+      let fired, _, _ = run_schedule flat in
+      let by_time_then_seq =
+        List.mapi (fun seq (time, _, _) -> (time, seq)) flat
+        |> List.sort (fun (t1, s1) (t2, s2) ->
+               match Int.compare t1 t2 with 0 -> Int.compare s1 s2 | c -> c)
+        |> List.map snd
+      in
+      let plain, _, _ = run_schedule entries in
+      let declined, _, declined_batches = run_schedule ~chooser:(fun _ -> 0) entries in
+      let _, youngest_times, youngest_batches =
+        run_schedule ~chooser:(fun choices -> Array.length choices - 1) entries
+      in
+      fired = by_time_then_seq
+      && declined = plain
+      && List.for_all ascending_seqs (declined_batches @ youngest_batches)
+      && List.for_all (fun b -> Array.length b >= 2) (declined_batches @ youngest_batches)
+      && youngest_times = List.sort Int.compare youngest_times)
+
 (* Histogram percentiles track exact percentiles within bucket error. *)
 let histogram_tracks_exact =
   QCheck.Test.make ~name:"histogram percentile near exact" ~count:100
@@ -344,7 +409,7 @@ let () =
           Alcotest.test_case "nic serializes" `Quick test_cluster_nic_serializes;
         ] );
       ( "more-properties",
-        [ qcheck event_order_random; qcheck histogram_tracks_exact ] );
+        [ qcheck event_order_random; qcheck event_queue_order; qcheck histogram_tracks_exact ] );
       ( "channel",
         [
           Alcotest.test_case "delivers everything" `Quick test_channel_delivers_everything;

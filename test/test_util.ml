@@ -119,16 +119,17 @@ let heap_sorts =
     (fun xs ->
       let h = Heap.create ~cmp:compare ~dummy:0 in
       List.iter (Heap.push h) xs;
-      let rec drain acc = match Heap.pop_opt h with None -> List.rev acc | Some x -> drain (x :: acc) in
+      let rec drain acc = if Heap.is_empty h then List.rev acc else drain (Heap.pop h :: acc) in
       drain [] = List.sort compare xs)
 
 let test_heap_peek () =
   let h = Heap.create ~cmp:compare ~dummy:0 in
-  Alcotest.(check (option int)) "empty peek" None (Heap.peek h);
+  Alcotest.check_raises "empty peek" (Invalid_argument "Heap.peek_exn: empty") (fun () ->
+      ignore (Heap.peek_exn h));
   Heap.push h 5;
   Heap.push h 2;
   Heap.push h 8;
-  Alcotest.(check (option int)) "min on top" (Some 2) (Heap.peek h);
+  Alcotest.(check int) "min on top" 2 (Heap.peek_exn h);
   Alcotest.(check int) "length" 3 (Heap.length h)
 
 let test_heap_to_sorted_preserves () =
